@@ -17,6 +17,7 @@ import numpy as np
 from .errors import PencilError
 from .linalg import spec_norm
 from .pencil import LinearPencil, PencilKind, classify, evaluate, unit_circle_grid
+from .unidil import q_identity_residuals
 from .verify import DemoName, canonical_chain, demo, run_pipeline
 
 
@@ -154,25 +155,7 @@ def _residual_series(p: LinearPencil, which: str, grid: int) -> list[tuple[compl
             fv = chain.factor(lam)
             series.append((lam, spec_norm(fv.conj().T @ fv - (eye - tv.conj().T @ tv))))
     elif which == "unitarity":
-        # pointwise residuals of both extension identities at each lambda
-        from .isodil import dense_rect, window_dim
-        v = chain.v
-        t_depth = v.core_depth + 3
-        din = window_dim(v, t_depth)
-        dout = window_dim(v, t_depth + 1)
-        wp = v.window_prime_dim
-        embed = np.zeros((dout, din), dtype=complex)
-        embed[dout - din:, :] = np.eye(din)
-        for lam in lams:
-            vt = dense_rect(v, lam, t_depth)
-            qs = chain.q(lam)
-            qq = np.zeros((dout, din), dtype=complex)
-            qq[dout - wp:, din - wp:] = qs @ qs.conj().T
-            q_emb = np.zeros((dout, qs.shape[1]), dtype=complex)
-            q_emb[dout - wp:, :] = qs
-            r = max(spec_norm(embed - vt @ (vt.conj().T @ embed) - qq),
-                    spec_norm(vt.conj().T @ q_emb))
-            series.append((lam, r))
+        series = list(zip(lams, q_identity_residuals(chain.v, chain.q, lams)))
     elif which == "theta":
         eye = np.eye(chain.theta.shape[1])
         for lam in lams:

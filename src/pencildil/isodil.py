@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, FactorMismatch, ShapeMismatch
 from .factorization import FejerRieszFactor, verify_factorization
-from .linalg import numerical_rank, spec_norm
+from .linalg import spec_norm
 from .pencil import DEFAULT_GRID, LinearPencil, evaluate
 from .reporting import Report
+from .words import Letters, grouped_sums, span_rank, worst_word
 
 _FACTOR_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -318,17 +319,16 @@ def coefficient_norms(v: StructuredIsometricPencil) -> tuple[float, float]:
     return max(shift, spec_norm(v.core.a0)), spec_norm(v.core.a1)
 
 
-def _head_block(v: StructuredIsometricPencil, block: np.ndarray,
-                tail_depth: int, n_t: int) -> np.ndarray:
-    start = tail_depth * v.dim_y
-    return block[start:start + n_t, :]
+def word_letters(v: StructuredIsometricPencil, n_t: int,
+                 length: int) -> Letters:
+    """Letters (V0, V1) on a window deep enough for words up to ``length``.
 
-
-def _embedded_h_basis(v: StructuredIsometricPencil, tail_depth: int,
-                      n_t: int) -> np.ndarray:
-    e = np.zeros((window_dim(v, tail_depth), n_t), dtype=complex)
-    e[tail_depth * v.dim_y:tail_depth * v.dim_y + n_t, :] = np.eye(n_t)
-    return e
+    The tail depth length + core_depth + 1 keeps every word's support
+    strictly inside the window, where the dense coefficients act exactly.
+    """
+    tail_depth = length + v.core_depth + 1
+    ops = (dense_coefficient(v, 0, tail_depth), dense_coefficient(v, 1, tail_depth))
+    return Letters.embedded(ops, tail_depth * v.dim_y, n_t)
 
 
 def _check_dilation_input(v: StructuredIsometricPencil, t: LinearPencil):
@@ -346,30 +346,14 @@ def check_dilation(v: StructuredIsometricPencil, t: LinearPencil,
     multipower P_H V^(t0,t1)|H must equal T^(t0,t1); by multilinearity this
     is the dilation identity for all circle parameters at once.
     """
-    from .pencil import symmetrized_multipower
-
     _check_dilation_input(v, t)
-    n_t = t.shape[0]
-    tail_depth = max_len + v.core_depth + 1
-    v0 = dense_coefficient(v, 0, tail_depth)
-    v1 = dense_coefficient(v, 1, tail_depth)
-    blocks = [_embedded_h_basis(v, tail_depth, n_t)]
+    sums = zip(grouped_sums(word_letters(v, t.shape[0], max_len), max_len),
+               grouped_sums(Letters.plain((t.a0, t.a1)), max_len))
     worst, witness, details = 0.0, None, []
-    for length in range(0, max_len + 1):
-        if length > 0:
-            nxt = []
-            for k in range(length + 1):
-                acc = np.zeros_like(blocks[0])
-                if k < len(blocks):
-                    acc += v0 @ blocks[k]
-                if k > 0:
-                    acc += v1 @ blocks[k - 1]
-                nxt.append(acc)
-            blocks = nxt
+    for length, (v_sums, t_sums) in enumerate(sums):
         for k in range(length + 1):
-            compressed = _head_block(v, blocks[k], tail_depth, n_t) / math.comb(length, k)
-            target = symmetrized_multipower(t, (length - k, k), word_cap=max_len)
-            resid = spec_norm(compressed - target)
+            weight = math.comb(length, k)
+            resid = spec_norm(v_sums[k] / weight - t_sums[k] / weight)
             details.append({"t": [length - k, k], "residual": resid})
             if resid > worst:
                 worst, witness = resid, {"t": [length - k, k]}
@@ -382,27 +366,14 @@ def check_uniform(v: StructuredIsometricPencil, t: LinearPencil,
 
     Products over independent circle parameters expand multilinearly into
     ordered words, so matching all 2^n words of each length n <= max_len is
-    the uniform dilation property verified exactly.
+    the uniform dilation property verified exactly.  The witness word is
+    written in product order ("01" = V0 V1).
     """
     _check_dilation_input(v, t)
-    n_t = t.shape[0]
-    tail_depth = max_len + v.core_depth + 1
-    v_ops = (dense_coefficient(v, 0, tail_depth), dense_coefficient(v, 1, tail_depth))
-    t_ops = (t.a0, t.a1)
-    level = [((), _embedded_h_basis(v, tail_depth, n_t), np.eye(n_t, dtype=complex))]
-    worst, witness, details = 0.0, None, []
-    for _ in range(max_len):
-        nxt = []
-        for word, vb, tb in level:
-            for bit in (0, 1):
-                nxt.append(((bit,) + word, v_ops[bit] @ vb, t_ops[bit] @ tb))
-        level = nxt
-        for word, vb, tb in level:
-            resid = spec_norm(_head_block(v, vb, tail_depth, n_t) - tb)
-            if resid > worst:
-                worst = resid
-                witness = {"word": "".join(str(b) for b in word)}
-    details.append({"words_checked": sum(2 ** n for n in range(1, max_len + 1))})
+    worst, word = worst_word(word_letters(v, t.shape[0], max_len),
+                             Letters.plain((t.a0, t.a1)), max_len)
+    witness = {"word": word[::-1]} if word is not None else None
+    details = [{"words_checked": sum(2 ** n for n in range(1, max_len + 1))}]
     return Report.from_residual("uniform", worst, tol, witness, details)
 
 
@@ -410,24 +381,17 @@ def check_minimality(v: StructuredIsometricPencil, t: LinearPencil,
                      depth: int = 5, rank_tol: float = _RANK_TOL) -> Report:
     """Span criterion for minimality at finite depth.
 
-    Collects all coefficient words of length <= depth applied to a basis of
-    H, projects onto the window (slots -depth..-1, full head) and demands
-    numerical rank depth*dimY + dimH there.  An untouched line adjoined to
-    the dilation space shows up as a rank deficit.
+    The span of all coefficient words of length <= depth applied to a basis
+    of H, projected onto the window (slots -depth..-1, full head), must have
+    numerical rank depth*dimY + dimH.  An untouched line adjoined to the
+    dilation space shows up as a rank deficit.  The span is closed level by
+    level with ``span_rank``, so the words are never stacked side by side.
     """
+    if depth < 0:
+        raise ValueError("minimality depth must be nonnegative")
     _check_dilation_input(v, t)
-    n_t = t.shape[0]
-    tail_depth = depth + v.core_depth + 1
-    v0 = dense_coefficient(v, 0, tail_depth)
-    v1 = dense_coefficient(v, 1, tail_depth)
-    level = _embedded_h_basis(v, tail_depth, n_t)
-    collected = [level]
-    for _ in range(depth):
-        level = np.concatenate([v0 @ level, v1 @ level], axis=1)
-        collected.append(level)
-    stacked = np.concatenate(collected, axis=1)
-    window_rows = stacked[(tail_depth - depth) * v.dim_y:, :]
-    rank = numerical_rank(window_rows, rank_tol)
+    window = slice((v.core_depth + 1) * v.dim_y, None)  # slots -depth.. of the tail
+    rank = span_rank(word_letters(v, t.shape[0], depth), depth, window, rank_tol)
     expected = depth * v.dim_y + v.dim_h
     deficit = float(expected - rank)
     return Report.from_residual(

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, ShapeMismatch
 from .linalg import as_matrix, spec_norm
+from .words import Letters, grouped_sums
 
 DEFAULT_GRID = 256
 WORD_LENGTH_CAP = 10
@@ -125,51 +125,6 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
                        max_norm_on_grid=max_norm)
 
 
-def word_apply(pencils: Sequence[LinearPencil], word: Sequence[int],
-               x: np.ndarray) -> np.ndarray:
-    """Apply the coefficient word A_{e1}^(1) ... A_{en}^(n) to x.
-
-    A product of pencil values over independent circle parameters is
-    multilinear in them, so spans of such products equal spans of the 2^n
-    coefficient words; this makes span and compression checks exact with
-    finitely many products.
-    """
-    if len(pencils) != len(word):
-        raise ShapeMismatch("word length must match the number of pencils")
-    out = np.asarray(x, dtype=complex)
-    for p, bit in zip(reversed(pencils), reversed(word)):
-        if bit not in (0, 1):
-            raise ValueError("word entries must be 0 or 1")
-        coeff = p.a0 if bit == 0 else p.a1
-        if coeff.shape[1] != out.shape[0]:
-            raise ShapeMismatch("pencil coefficients do not chain with the vector")
-        out = coeff @ out
-    return out
-
-
-def coefficient_word_sums(p: LinearPencil, length: int) -> list[np.ndarray]:
-    """Sums over all words of the given length grouped by their a1-count.
-
-    Returns S[k] = sum of A_{e1}...A_{en} over words with exactly k ones,
-    computed by the prepend recursion S_n(k) = a0 S_{n-1}(k) + a1 S_{n-1}(k-1).
-    """
-    rows, cols = p.shape
-    if rows != cols:
-        raise ShapeMismatch("word sums require a square pencil")
-    sums = [np.eye(rows, dtype=complex)]
-    for _ in range(length):
-        nxt = []
-        for k in range(len(sums) + 1):
-            acc = np.zeros((rows, rows), dtype=complex)
-            if k < len(sums):
-                acc += p.a0 @ sums[k]
-            if k > 0:
-                acc += p.a1 @ sums[k - 1]
-            nxt.append(acc)
-        sums = nxt
-    return sums
-
-
 def symmetrized_multipower(p: LinearPencil, t: tuple[int, int],
                            word_cap: int = WORD_LENGTH_CAP) -> np.ndarray:
     """Average of all ordered products with a0 used t[0] and a1 used t[1] times.
@@ -185,5 +140,5 @@ def symmetrized_multipower(p: LinearPencil, t: tuple[int, int],
         raise CapExceeded(f"word length {n} exceeds cap {word_cap}")
     if p.shape[0] != p.shape[1]:
         raise ShapeMismatch("multipowers require a square pencil")
-    sums = coefficient_word_sums(p, n)
+    *_, sums = grouped_sums(Letters.plain((p.a0, p.a1)), n)
     return sums[t1] / math.comb(n, t1)

@@ -30,6 +30,7 @@ from .linalg import (SubspaceBasis, numerical_rank, orthocomplement_within,
                      orthonormal_range, projector, spec_norm)
 from .pencil import DEFAULT_GRID, LinearPencil, evaluate, unit_circle_grid
 from .reporting import Report
+from .words import Letters, span_rank, worst_word
 
 _ISO_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -276,23 +277,25 @@ def dense_u_coefficient(u: UnitaryDilation, j: int, tail_depth: int,
     return m
 
 
-def _embedded_h_basis_k(u: UnitaryDilation, tail_depth: int, future_depth: int,
-                        n_t: int) -> np.ndarray:
-    dim = window_dim(u.v, tail_depth) + future_depth * u.dim_u
-    e = np.zeros((dim, n_t), dtype=complex)
-    start = tail_depth * u.dim_y
-    e[start:start + n_t, :] = np.eye(n_t)
-    return e
+def word_letters_unitary(u: UnitaryDilation, n_t: int, length: int) -> Letters:
+    """Letters (U0, U1) on a window deep enough for words up to ``length``.
 
-
-def verify_q_identities(v: StructuredIsometricPencil, q: QPencil,
-                        grid_size: int = DEFAULT_GRID,
-                        tol: float = 1e-9) -> Report:
-    """Check I - V(lam)V(lam)^* = Q(lam)Q(lam)^* and V(lam)^*Q(lam) = 0.
-
-    Verified as matrix identities on a window covering the core output and
-    two deeper tail slots, where both sides act exactly.
+    Tail depth length + core_depth + 1 and future depth length + 1 keep the
+    support of every word in the letters and their adjoints strictly inside
+    the window, where the dense coefficients act exactly.
     """
+    tail_depth = length + u.core_depth + 1
+    future_depth = length + 1
+    ops = (dense_u_coefficient(u, 0, tail_depth, future_depth),
+           dense_u_coefficient(u, 1, tail_depth, future_depth))
+    return Letters.embedded(ops, tail_depth * u.dim_y, n_t)
+
+
+def q_identity_residuals(v: StructuredIsometricPencil, q: QPencil,
+                         lams) -> list[float]:
+    """Larger residual of I - V V^* = Q Q^* and V^* Q = 0 at each lambda,
+    as matrix identities on a window covering the core output and two
+    deeper tail slots, where both sides act exactly."""
     d = v.core_depth
     t = d + 3
     din = window_dim(v, t)
@@ -300,9 +303,8 @@ def verify_q_identities(v: StructuredIsometricPencil, q: QPencil,
     wp = v.window_prime_dim
     embed = np.zeros((dout, din), dtype=complex)
     embed[dout - din:, :] = np.eye(din)
-    worst = 0.0
-    witness = None
-    for lam in unit_circle_grid(grid_size):
+    out = []
+    for lam in lams:
         vt = dense_rect(v, lam, t)
         qs = q(lam)
         qq = np.zeros((dout, din), dtype=complex)
@@ -311,39 +313,34 @@ def verify_q_identities(v: StructuredIsometricPencil, q: QPencil,
         q_emb = np.zeros((dout, qs.shape[1]), dtype=complex)
         q_emb[dout - wp:, :] = qs
         r2 = spec_norm(vt.conj().T @ q_emb)
-        resid = max(r1, r2)
+        out.append(max(r1, r2))
+    return out
+
+
+def verify_q_identities(v: StructuredIsometricPencil, q: QPencil,
+                        grid_size: int = DEFAULT_GRID,
+                        tol: float = 1e-9) -> Report:
+    """Check I - V(lam)V(lam)^* = Q(lam)Q(lam)^* and V(lam)^*Q(lam) = 0 on the grid."""
+    grid = unit_circle_grid(grid_size)
+    worst, witness = 0.0, None
+    for lam, resid in zip(grid, q_identity_residuals(v, q, grid)):
         if resid > worst:
-            worst = resid
-            witness = {"lambda": [lam.real, lam.imag]}
+            worst, witness = resid, {"lambda": [lam.real, lam.imag]}
     return Report.from_residual("q-identities", worst, tol, witness)
 
 
 def check_uniform_unitary(u: UnitaryDilation, t: LinearPencil,
                           max_len: int = 6, tol: float = 1e-9) -> Report:
-    """Every compressed ordered word in (U0, U1) must match T's word."""
+    """Every compressed ordered word in (U0, U1) must match T's word.
+
+    The witness word is written in product order ("01" = U0 U1).
+    """
     n_t = t.shape[0]
     if t.shape[0] != t.shape[1] or n_t > u.dim_h:
         raise DimensionMismatch("pencil does not fit the dilation's head space")
-    tail_depth = max_len + u.core_depth + 1
-    future_depth = max_len + 1
-    u_ops = (dense_u_coefficient(u, 0, tail_depth, future_depth),
-             dense_u_coefficient(u, 1, tail_depth, future_depth))
-    t_ops = (t.a0, t.a1)
-    head_start = tail_depth * u.dim_y
-    level = [((), _embedded_h_basis_k(u, tail_depth, future_depth, n_t),
-              np.eye(n_t, dtype=complex))]
-    worst, witness = 0.0, None
-    for _ in range(max_len):
-        nxt = []
-        for word, ub, tb in level:
-            for bit in (0, 1):
-                nxt.append(((bit,) + word, u_ops[bit] @ ub, t_ops[bit] @ tb))
-        level = nxt
-        for word, ub, tb in level:
-            resid = spec_norm(ub[head_start:head_start + n_t, :] - tb)
-            if resid > worst:
-                worst = resid
-                witness = {"word": "".join(str(b) for b in word)}
+    worst, word = worst_word(word_letters_unitary(u, n_t, max_len),
+                             Letters.plain((t.a0, t.a1)), max_len)
+    witness = {"word": word[::-1]} if word is not None else None
     return Report.from_residual("uniform-unitary", worst, tol, witness)
 
 
@@ -378,37 +375,26 @@ def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
 
 
 def check_minimality_unitary(u: UnitaryDilation, t: LinearPencil,
-                             depth: int = 4, rank_tol: float = _RANK_TOL,
-                             word_cap: int | None = None) -> Report:
+                             depth: int = 4, rank_tol: float = _RANK_TOL) -> Report:
     """Two-sided span criterion at finite depth.
 
-    Words over {U0, U1, U0^*, U1^*} applied to a basis of H must fill the
-    window (slots -depth..-1, head, future 1..depth).  Deep cores need a
-    setup step before future slots can be reached, so the word length cap
-    defaults to depth + core_depth + 1; the demanded rank over the depth
-    window is unchanged.
+    The span of all words over {U0, U1, U0^*, U1^*} applied to a basis of H
+    must fill the window (slots -depth..-1, head, future 1..depth).  Deep
+    cores need a setup step before future slots can be reached, so words
+    run up to length depth + core_depth + 1 (the ``word_cap`` detail).  The
+    span is closed level by level with ``span_rank``, never stacking the
+    4^length words side by side.
     """
+    if depth < 0:
+        raise ValueError("minimality depth must be nonnegative")
     n_t = t.shape[0]
     if t.shape[0] != t.shape[1] or n_t > u.dim_h:
         raise DimensionMismatch("pencil does not fit the dilation's head space")
-    cap = word_cap if word_cap is not None else depth + u.core_depth + 1
-    tail_depth = cap + u.core_depth + 1
-    future_depth = cap + 1
-    ops = [dense_u_coefficient(u, 0, tail_depth, future_depth),
-           dense_u_coefficient(u, 1, tail_depth, future_depth)]
-    ops += [ops[0].conj().T, ops[1].conj().T]
-    level = _embedded_h_basis_k(u, tail_depth, future_depth, n_t)
-    collected = [level]
-    for _ in range(cap):
-        level = np.concatenate([op @ level for op in ops], axis=1)
-        collected.append(level)
-    stacked = np.concatenate(collected, axis=1)
-    kdim = window_dim(u.v, tail_depth)
-    rows = np.concatenate([
-        stacked[(tail_depth - depth) * u.dim_y:kdim, :],
-        stacked[kdim:kdim + depth * u.dim_u, :],
-    ], axis=0)
-    rank = numerical_rank(rows, rank_tol) if rows.size else 0
+    cap = depth + u.core_depth + 1
+    kdim = window_dim(u.v, cap + u.core_depth + 1)  # the letters' K+ part
+    window = slice(kdim - depth * u.dim_y - u.dim_h, kdim + depth * u.dim_u)
+    letters = word_letters_unitary(u, n_t, cap).with_adjoints()
+    rank = span_rank(letters, cap, window, rank_tol)
     expected = depth * u.dim_y + u.dim_h + depth * u.dim_u
     deficit = float(expected - rank)
     return Report.from_residual(

@@ -22,8 +22,7 @@ from .factorization import (FejerRieszFactor, GramCoefficients,
                             outer_surrogate_check, verify_factorization)
 from .isodil import (BuiltinExample, KPlusVector, StructuredIsometricPencil,
                      apply, builtin_example, check_dilation, check_minimality,
-                     check_uniform, coefficient_norms, dense_coefficient,
-                     window_dim)
+                     check_uniform, coefficient_norms, word_letters)
 from .linalg import spec_norm
 from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate,
                      unit_circle_grid)
@@ -32,8 +31,9 @@ from .unidil import (KVector, QPencil, UnitaryDilation, apply_u,
                      apply_u_adjoint, assemble_theta, build_q, build_unitary,
                      check_biinner, check_minimality_unitary,
                      check_uniform_unitary, coefficient_norms_unitary,
-                     compression_tower, core_subspaces, dense_u_coefficient,
-                     verify_q_identities)
+                     compression_tower, core_subspaces, verify_q_identities,
+                     word_letters_unitary)
+from .words import Letters, first_difference
 
 CORPUS_SEED = 20240601
 
@@ -127,12 +127,14 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
                  rank_tol: float = 1e-8) -> list[Report]:
     """Full chain of construction and verification reports for one pencil.
 
-    ``depth`` drives the span checks: ordered-word checks run to length
-    depth + 2, the isometric minimality window is depth + 1 and the unitary
-    one is depth (6 / 5 / 4 at the default).  ``rank_tol`` is the relative
-    singular-value cutoff of the rank-based checks.  Hard errors propagate
-    and stop the pipeline.
+    ``depth`` (nonnegative, else ValueError) drives the span checks:
+    ordered-word checks run to length depth + 2, the isometric minimality
+    window is depth + 1 and the unitary one is depth (6 / 5 / 4 at the
+    default).  ``rank_tol`` is the relative singular-value cutoff of the
+    rank-based checks.  Hard errors propagate and stop the pipeline.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     verdict = classify(t, grid_size=grid_size)
     if not verdict.is_contractive:
         raise NotContractive(
@@ -186,41 +188,10 @@ def _structured_part(d: Dilation) -> StructuredIsometricPencil:
     return d.v if isinstance(d, UnitaryDilation) else d
 
 
-def _letter_ops(d: Dilation, max_len: int, include_adjoints: bool):
-    """Dense coefficient letters and the embedded H-basis for word tables."""
+def _word_letters(d: Dilation, n_t: int, max_len: int) -> Letters:
     if isinstance(d, UnitaryDilation):
-        tail = max_len + d.core_depth + 1
-        fut = max_len + 1
-        ops = [dense_u_coefficient(d, 0, tail, fut),
-               dense_u_coefficient(d, 1, tail, fut)]
-        head_start = tail * d.dim_y
-        dim = window_dim(d.v, tail) + fut * d.dim_u
-    else:
-        tail = max_len + d.core_depth + 1
-        ops = [dense_coefficient(d, 0, tail), dense_coefficient(d, 1, tail)]
-        head_start = tail * d.dim_y
-        dim = window_dim(d, tail)
-    if include_adjoints:
-        ops = ops + [ops[0].conj().T, ops[1].conj().T]
-    return ops, head_start, dim
-
-
-def _word_table(d: Dilation, n_t: int, max_len: int,
-                include_adjoints: bool) -> dict[str, np.ndarray]:
-    ops, head_start, dim = _letter_ops(d, max_len, include_adjoints)
-    start = np.zeros((dim, n_t), dtype=complex)
-    start[head_start:head_start + n_t, :] = np.eye(n_t)
-    table = {}
-    level = [("", start)]
-    for _ in range(max_len):
-        nxt = []
-        for word, block in level:
-            for i, op in enumerate(ops):
-                nxt.append((word + str(i), op @ block))
-        level = nxt
-        for word, block in level:
-            table[word] = block[head_start:head_start + n_t, :]
-    return table
+        return word_letters_unitary(d, n_t, max_len)
+    return word_letters(d, n_t, max_len)
 
 
 def _uniformity_flag(d: Dilation, t: LinearPencil, depth: int) -> bool:
@@ -240,8 +211,9 @@ def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
     """Compare invariants preserved by unitary equivalence of dilations.
 
     Checked in order: uniformity flags, coefficient operator norms, and
-    compressed word tables (fixed under equivalence because the
-    intertwining operator acts as the identity on H).  Any difference
+    compressed words (fixed under equivalence because the intertwining
+    operator acts as the identity on H), compared one word length at a time
+    up to the first differing word in application order.  Any difference
     yields NOT_EQUIVALENT with the distinguishing invariant as witness;
     otherwise the verdict is INCONCLUSIVE, never "equivalent".
     """
@@ -273,13 +245,13 @@ def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
                 "second": norms2[idx],
             })
 
-    adjoints = isinstance(d1, UnitaryDilation) and isinstance(d2, UnitaryDilation)
-    table1 = _word_table(d1, n_t, depth, adjoints)
-    table2 = _word_table(d2, n_t, depth, adjoints)
-    for word in table1:
-        diff = spec_norm(table1[word] - table2[word])
-        if diff > tol:
-            return verdict("word-table", {"word": word, "difference": diff})
+    a, b = (_word_letters(d, n_t, depth) for d in (d1, d2))
+    if isinstance(d1, UnitaryDilation) and isinstance(d2, UnitaryDilation):
+        a, b = a.with_adjoints(), b.with_adjoints()
+    hit = first_difference(a, b, depth, tol)
+    if hit is not None:
+        word, diff = hit
+        return verdict("word-table", {"word": word, "difference": diff})
     return Report.from_residual(
         "equivalence-falsifier", 0.0, 0.0,
         witness={"verdict": "INCONCLUSIVE"},

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pencildil import LinearPencil, Report
+from pencildil import LinearPencil, Report, canonical_chain, verify_q_identities
 from pencildil.cli import load_pencil, main, save_pencil
 
 
@@ -85,6 +85,13 @@ def test_verify_json_round_trips(capsys, scalar_file):
     assert reports and all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+def test_verify_negative_depth_exit_2(capsys, scalar_file, depth):
+    assert main(["verify", scalar_file, "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "pass" not in captured.out
+
+
 def test_verify_boundary_pencil_exit_1(tmp_path, capsys):
     # |T(1)| = 1: factorization stalls, a mathematical failure (exit 1)
     path = write_pencil(tmp_path, "boundary.json", [[0.5]], [[0.5]])
@@ -139,6 +146,18 @@ def test_residuals_deterministic(tmp_path, scalar_file):
     assert main(["residuals", scalar_file, "--check", "unitarity",
                  "--grid", "16", "--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_residuals_unitarity_matches_q_identities(tmp_path, scalar_file):
+    out = tmp_path / "q.csv"
+    assert main(["residuals", scalar_file, "--check", "unitarity",
+                 "--grid", "32", "--csv", str(out)]) == 0
+    column = [float(line.split(",")[2])
+              for line in out.read_text().strip().split("\n")[1:]]
+    chain = canonical_chain(load_pencil(scalar_file))
+    report = verify_q_identities(chain.v, chain.q, grid_size=32)
+    assert len(column) == 32
+    assert report.worst_residual == max(column)
 
 
 def test_commands_do_not_mutate_input(tmp_path, scalar_file):

@@ -6,9 +6,10 @@ import pytest
 
 from pencildil import (CapExceeded, LinearPencil, PencilKind, ShapeMismatch,
                        classify, evaluate, symmetrized_multipower,
-                       unit_circle_grid, word_apply)
+                       unit_circle_grid)
 from pencildil.isodil import BuiltinExample, builtin_example
 from pencildil.linalg import spec_norm
+from pencildil.words import Letters, levels, word_label
 
 
 def brute_multipower(p, t0, t1):
@@ -86,34 +87,15 @@ def test_classify_matches_pointwise_isometry():
         assert algebraic == pointwise
 
 
-def test_word_apply_basics():
-    p = LinearPencil([[0.5]], [[0.3]])
-    x = np.array([2.0])
-    np.testing.assert_allclose(word_apply([p], [0], x), [1.0])
-    np.testing.assert_allclose(word_apply([p, p], [0, 1], x), p.a0 @ p.a1 @ x)
-    with pytest.raises(ShapeMismatch):
-        word_apply([p], [0, 1], x)
-
-
-def test_word_apply_chains_distinct_pencils():
-    rng = np.random.default_rng(19)
-    p = LinearPencil(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
-    q = LinearPencil(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
-    x = rng.standard_normal(4)
-    np.testing.assert_allclose(word_apply([p, q], [1, 0], x), p.a1 @ q.a0 @ x,
-                               atol=1e-13)
-
-
 def test_word_expansion_reconstructs_powers():
     rng = np.random.default_rng(5)
     p = LinearPencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
                      rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    x = np.eye(3, dtype=complex)
+    letters = Letters.plain((p.a0, p.a1))
     for lam in (1.0, 1j, np.exp(0.3j)):
-        for n in range(1, 7):
-            total = np.zeros((3, 3), dtype=complex)
-            for bits in itertools.product((0, 1), repeat=n):
-                total += lam ** sum(bits) * word_apply([p] * n, bits, x)
+        for n, words in enumerate(levels(letters, 6), start=1):
+            ones = [word_label(i, n, 2).count("1") for i in range(2 ** n)]
+            total = sum(lam ** k * w for k, w in zip(ones, words))
             direct = np.linalg.matrix_power(evaluate(p, lam), n)
             assert spec_norm(total - direct) <= 1e-10 * max(1.0, spec_norm(direct))
 

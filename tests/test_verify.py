@@ -5,8 +5,10 @@ import pytest
 
 from pencildil import (BuiltinExample, LinearPencil, NotADilation,
                        NotContractive, PencilKind, Report, builtin_example,
-                       canonical_chain, classify, classical_slice, demo,
-                       equivalence_falsifier, run_pipeline, seeded_corpus)
+                       canonical_chain, check_minimality,
+                       check_minimality_unitary, classify, classical_slice,
+                       demo, equivalence_falsifier, run_pipeline,
+                       seeded_corpus)
 from pencildil.verify import DemoName
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
@@ -44,6 +46,17 @@ def test_pipeline_isometric_input_degenerates():
 def test_pipeline_rejects_noncontractive():
     with pytest.raises(NotContractive):
         run_pipeline(LinearPencil([[0.8]], [[0.5]]))
+
+
+def test_negative_depth_is_rejected(scalar_chain):
+    t = LinearPencil([[0.5]], [[0.3]])
+    with pytest.raises(ValueError):
+        run_pipeline(t, depth=-1)
+    with pytest.raises(ValueError):
+        check_minimality(scalar_chain.v, t, depth=-1)
+    with pytest.raises(ValueError):
+        check_minimality_unitary(scalar_chain.u, t, depth=-1)
+    assert all(r.passed for r in run_pipeline(t, depth=0))
 
 
 def test_pipeline_deterministic(corpus):
