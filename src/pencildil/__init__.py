@@ -15,7 +15,8 @@ from .linalg import (DEFAULT_TOLERANCES, SubspaceBasis, ToleranceProfile,
                      numerical_rank, orthocomplement_within,
                      orthonormal_range, projector, psd_sqrt)
 from .pencil import (LinearPencil, PencilClass, PencilKind, classify,
-                     evaluate, symmetrized_multipower, unit_circle_grid)
+                     evaluate, evaluate_all, symmetrized_multipower,
+                     unit_circle_grid)
 from .reporting import Report
 from .unidil import (CoreSubspaces, KVector, QPencil, UnitaryDilation,
                      apply_u, apply_u_adjoint, assemble_theta, build_q,

@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from .errors import PencilError
+from .factorization import factorization_residuals
 from .linalg import spec_norm
-from .pencil import LinearPencil, PencilKind, classify, evaluate, unit_circle_grid
-from .unidil import q_identity_residuals
+from .pencil import LinearPencil, PencilKind, classify, unit_circle_grid
+from .unidil import q_identity_residuals, theta_boundary_residuals
 from .verify import DemoName, canonical_chain, demo, run_pipeline
 
 
@@ -146,24 +147,15 @@ def cmd_demo(args) -> int:
 def _residual_series(p: LinearPencil, which: str, grid: int) -> list[tuple[complex, float]]:
     chain = canonical_chain(p)
     lams = unit_circle_grid(grid)
-    series = []
     if which == "factorization":
-        n = p.shape[1]
-        eye = np.eye(n)
-        for lam in lams:
-            tv = evaluate(p, lam)
-            fv = chain.factor(lam)
-            series.append((lam, spec_norm(fv.conj().T @ fv - (eye - tv.conj().T @ tv))))
+        series = factorization_residuals(p, chain.factor, lams)
     elif which == "unitarity":
-        series = list(zip(lams, q_identity_residuals(chain.v, chain.q, lams)))
+        series = q_identity_residuals(chain.v, chain.q, lams)
     elif which == "theta":
-        eye = np.eye(chain.theta.shape[1])
-        for lam in lams:
-            val = evaluate(chain.theta, lam)
-            series.append((lam, spec_norm(val.conj().T @ val - eye)))
+        series = theta_boundary_residuals(chain.theta, lams)
     else:
         raise ValueError(f"unknown residual check {which!r}")
-    return series
+    return list(zip(lams, series))
 
 
 def cmd_residuals(args) -> int:

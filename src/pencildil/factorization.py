@@ -16,9 +16,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NoConvergence, NotContractive, NotPSD, ShapeMismatch
-from .linalg import (as_matrix, numerical_rank, orthonormal_range, psd_sqrt,
-                     spec_norm)
-from .pencil import DEFAULT_GRID, LinearPencil, classify, evaluate, unit_circle_grid
+from .linalg import (adjoints, as_matrix, numerical_rank, orthonormal_range,
+                     psd_sqrt, ranks, spec_norm, spec_norms)
+from .pencil import DEFAULT_GRID, LinearPencil, classify, evaluate_all, unit_circle_grid
 
 # Coefficient matching f0^H f0 + f1^H f1 = r0, f0^H f1 = c must hold to
 # this accuracy for the factor to be accepted.
@@ -50,8 +50,10 @@ class GramCoefficients:
     def dim(self) -> int:
         return self.r0.shape[0]
 
-    def symbol(self, lam: complex) -> np.ndarray:
-        return self.r0 + lam * self.c + np.conj(lam) * self.c.conj().T
+    def symbols(self, lams) -> np.ndarray:
+        """Symbol values at every lam, stacked as a (G, dim, dim) array."""
+        lams = np.asarray(lams, dtype=complex)[:, None, None]
+        return self.r0 + lams * self.c + np.conj(lams) * self.c.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,11 +144,14 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
     (carrying the last step norm) when max_iter is exhausted; boundary-
     singular symbols converge sublinearly and may need a larger budget.
     """
-    grid = unit_circle_grid(grid_size)
-    for lam in grid:
-        w = np.linalg.eigvalsh(g.symbol(lam))
-        if w.size and w[0] < -tol:
-            raise NotPSD(f"defect symbol has eigenvalue {w[0]:.3e} at lam={lam:.4f}")
+    if g.dim:
+        grid = unit_circle_grid(grid_size)
+        lowest = np.linalg.eigvalsh(g.symbols(grid))[:, 0]
+        bad = np.flatnonzero(lowest < -tol)
+        if bad.size:
+            k = bad[0]
+            raise NotPSD(f"defect symbol has eigenvalue {lowest[k]:.3e} "
+                         f"at lam={grid[k]:.4f}")
 
     n = g.dim
     x = g.r0.copy()
@@ -200,19 +205,21 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
     return factor
 
 
+def factorization_residuals(t: LinearPencil, f: FejerRieszFactor,
+                            lams) -> np.ndarray:
+    """||F(lam)^H F(lam) - (I - T(lam)^H T(lam))|| at each lam."""
+    if f.dim_h != t.shape[1]:
+        raise ShapeMismatch("factor and pencil act on different spaces")
+    tv = evaluate_all(t, lams)
+    fv = evaluate_all(f.as_pencil(), lams)
+    return spec_norms(adjoints(fv) @ fv - (np.eye(t.shape[1]) - adjoints(tv) @ tv))
+
+
 def verify_factorization(t: LinearPencil, f: FejerRieszFactor,
                          grid_size: int = DEFAULT_GRID) -> float:
     """Max grid residual of F(lam)^H F(lam) - (I - T(lam)^H T(lam))."""
-    if f.dim_h != t.shape[1]:
-        raise ShapeMismatch("factor and pencil act on different spaces")
-    n = t.shape[1]
-    worst = 0.0
-    for lam in unit_circle_grid(grid_size):
-        tv = evaluate(t, lam)
-        fv = f(lam)
-        resid = fv.conj().T @ fv - (np.eye(n) - tv.conj().T @ tv)
-        worst = max(worst, spec_norm(resid))
-    return worst
+    return float(factorization_residuals(t, f, unit_circle_grid(grid_size))
+                 .max(initial=0.0))
 
 
 def outer_surrogate_check(f: FejerRieszFactor, grid_size: int = DEFAULT_GRID,
@@ -225,7 +232,5 @@ def outer_surrogate_check(f: FejerRieszFactor, grid_size: int = DEFAULT_GRID,
     """
     if f.dim_y == 0:
         return True
-    for lam in unit_circle_grid(grid_size):
-        if numerical_rank(f(lam), tol) != f.dim_y:
-            return False
-    return True
+    values = evaluate_all(f.as_pencil(), unit_circle_grid(grid_size))
+    return bool(np.all(ranks(values, tol) == f.dim_y))

@@ -53,6 +53,22 @@ def spec_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def spec_norms(stack) -> np.ndarray:
+    """Spectral norm of each matrix of a (G, m, n) stack, by one batched SVD.
+
+    Pointwise equal to ``spec_norm``; zeros when the matrices are empty.
+    """
+    stack = np.asarray(stack)
+    if stack.shape[-2] == 0 or stack.shape[-1] == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def adjoints(stack) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., m, n) stack."""
+    return np.conj(stack).swapaxes(-1, -2)
+
+
 def canonicalize_phases(b: np.ndarray) -> np.ndarray:
     """Rotate each column so its first entry of largest modulus is real > 0."""
     b = np.array(b, dtype=complex)
@@ -181,3 +197,14 @@ def numerical_rank(m, tol: float = DEFAULT_TOLERANCES.rank) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def ranks(stack, tol: float = DEFAULT_TOLERANCES.rank) -> np.ndarray:
+    """``numerical_rank`` of each matrix of a (G, m, n) stack, by one batched SVD."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    stack = np.asarray(stack)
+    if stack.shape[-2] == 0 or stack.shape[-1] == 0:
+        return np.zeros(stack.shape[:-2], dtype=int)
+    s = np.linalg.svd(stack, compute_uv=False)
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)

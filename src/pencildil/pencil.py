@@ -4,7 +4,9 @@ A pencil is classified over the unit circle: contractive means
 T(lam)^H T(lam) <= I for all |lam| = 1, isometric means equality, unitary
 additionally T(lam) T(lam)^H = I.  Isometry and unitarity are decided
 algebraically on the coefficients (exact for all lam at once);
-contractivity is a grid decision with a Lipschitz certificate.
+contractivity is a grid decision with a Lipschitz certificate.  A grid is
+evaluated as one stacked (G, rows, cols) array and decided by batched
+LAPACK calls, pointwise equal to evaluating it one lambda at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapExceeded, ShapeMismatch
-from .linalg import as_matrix, spec_norm
+from .linalg import adjoints, as_matrix, spec_norm, spec_norms
 from .words import Letters, grouped_sums
 
 DEFAULT_GRID = 256
@@ -54,6 +56,12 @@ class LinearPencil:
 def evaluate(p: LinearPencil, lam: complex) -> np.ndarray:
     """Pointwise value a0 + lam*a1 (lam unrestricted; circle grids elsewhere)."""
     return p.a0 + lam * p.a1
+
+
+def evaluate_all(p: LinearPencil, lams) -> np.ndarray:
+    """Values a0 + lam*a1 at every lam, stacked as a (G, rows, cols) array."""
+    lams = np.asarray(lams, dtype=complex)
+    return p.a0 + lams[:, None, None] * p.a1
 
 
 class PencilKind(Enum):
@@ -95,9 +103,8 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     rows, cols = p.shape
     eye_in = np.eye(cols)
 
-    grid = unit_circle_grid(grid_size)
-    values = [evaluate(p, lam) for lam in grid]
-    max_norm = max((spec_norm(v) for v in values), default=0.0)
+    values = evaluate_all(p, unit_circle_grid(grid_size))
+    max_norm = float(spec_norms(values).max())
 
     iso_defect = max(
         spec_norm(p.a0.conj().T @ p.a0 + p.a1.conj().T @ p.a1 - eye_in),
@@ -112,10 +119,7 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
         kind = PencilKind.UNITARY if uni_defect <= tol else PencilKind.ISOMETRIC
         return PencilClass(kind, certified=True, margin=0.0, max_norm_on_grid=max_norm)
 
-    min_eig = min(
-        (float(np.linalg.eigvalsh(eye_in - v.conj().T @ v)[0]) for v in values),
-        default=0.0,
-    )
+    min_eig = float(np.linalg.eigvalsh(eye_in - adjoints(values) @ values)[:, 0].min())
     margin = 1.0 - max_norm
     if min_eig >= -tol:
         lip = spec_norm(p.a1) * math.pi / grid_size

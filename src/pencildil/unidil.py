@@ -25,10 +25,12 @@ from .errors import DimensionMismatch, NotIsometric, PencilError
 from .factorization import FejerRieszFactor
 from .isodil import (KPlusVector, StructuredIsometricPencil, apply,
                      apply_adjoint, core_isometry_defect, dense_coefficient,
-                     dense_rect, window_dim)
-from .linalg import (SubspaceBasis, numerical_rank, orthocomplement_within,
-                     orthonormal_range, projector, spec_norm)
-from .pencil import DEFAULT_GRID, LinearPencil, evaluate, unit_circle_grid
+                     window_dim)
+from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
+                     orthonormal_range, projector, ranks, spec_norm,
+                     spec_norms)
+from .pencil import (DEFAULT_GRID, LinearPencil, evaluate_all,
+                     unit_circle_grid)
 from .reporting import Report
 from .words import Letters, span_rank, worst_word
 
@@ -78,6 +80,9 @@ class QPencil:
 
     def __call__(self, lam: complex) -> np.ndarray:
         return self.q0 + lam * self.q1
+
+    def as_pencil(self) -> LinearPencil:
+        return LinearPencil(self.q0, self.q1)
 
 
 def core_subspaces(v: StructuredIsometricPencil,
@@ -291,30 +296,36 @@ def word_letters_unitary(u: UnitaryDilation, n_t: int, length: int) -> Letters:
     return Letters.embedded(ops, tail_depth * u.dim_y, n_t)
 
 
+def _worst_index(resid: np.ndarray, worst: float) -> int | None:
+    """First index of the largest residual if it exceeds ``worst``, else None:
+    the witness a point-by-point scan with strict improvement would keep."""
+    if resid.size:
+        k = int(np.argmax(resid))
+        if resid[k] > worst:
+            return k
+    return None
+
+
 def q_identity_residuals(v: StructuredIsometricPencil, q: QPencil,
-                         lams) -> list[float]:
-    """Larger residual of I - V V^* = Q Q^* and V^* Q = 0 at each lambda,
-    as matrix identities on a window covering the core output and two
-    deeper tail slots, where both sides act exactly."""
-    d = v.core_depth
-    t = d + 3
-    din = window_dim(v, t)
-    dout = window_dim(v, t + 1)
-    wp = v.window_prime_dim
-    embed = np.zeros((dout, din), dtype=complex)
-    embed[dout - din:, :] = np.eye(din)
-    out = []
-    for lam in lams:
-        vt = dense_rect(v, lam, t)
-        qs = q(lam)
-        qq = np.zeros((dout, din), dtype=complex)
-        qq[dout - wp:, din - wp:] = qs @ qs.conj().T
-        r1 = spec_norm(embed - vt @ (vt.conj().T @ embed) - qq)
-        q_emb = np.zeros((dout, qs.shape[1]), dtype=complex)
-        q_emb[dout - wp:, :] = qs
-        r2 = spec_norm(vt.conj().T @ q_emb)
-        out.append(max(r1, r2))
-    return out
+                         lams) -> np.ndarray:
+    """Larger residual of I - V V^* = Q Q^* and V^* Q = 0 at each lambda.
+
+    Both identities reduce to the core output window W' (slots
+    -(d+1)..-1 and the head, dimension wp).  V(lam) is the core value C(lam)
+    from the core window W into W' plus the identity shift of every tail
+    slot -n, n >= d+1, onto slot -(n+1).  The shift is lambda-independent
+    and its range, the slots below -(d+1), is orthogonal to W', so
+    V V^* = (projection onto those slots) (+) C C^* and
+    I - V V^* - Q Q^* = 0 (+) (I_wp - C C^* - Q Q^*) since Q maps into W'.
+    On W' the adjoint V^* is C^* (the shift adjoint only reads the slots
+    below W'), so V^* Q = C^* Q.  The residual at lam is therefore
+    max(||I_wp - C C^* - Q Q^*||, ||C^* Q||), computed for the whole grid
+    as (G, wp, .) stacks.
+    """
+    cv = evaluate_all(v.core, lams)
+    qv = evaluate_all(q.as_pencil(), lams)
+    defect = np.eye(v.window_prime_dim) - cv @ adjoints(cv) - qv @ adjoints(qv)
+    return np.maximum(spec_norms(defect), spec_norms(adjoints(cv) @ qv))
 
 
 def verify_q_identities(v: StructuredIsometricPencil, q: QPencil,
@@ -322,10 +333,11 @@ def verify_q_identities(v: StructuredIsometricPencil, q: QPencil,
                         tol: float = 1e-9) -> Report:
     """Check I - V(lam)V(lam)^* = Q(lam)Q(lam)^* and V(lam)^*Q(lam) = 0 on the grid."""
     grid = unit_circle_grid(grid_size)
+    resid = q_identity_residuals(v, q, grid)
     worst, witness = 0.0, None
-    for lam, resid in zip(grid, q_identity_residuals(v, q, grid)):
-        if resid > worst:
-            worst, witness = resid, {"lambda": [lam.real, lam.imag]}
+    k = _worst_index(resid, worst)
+    if k is not None:
+        worst, witness = resid[k], {"lambda": [grid[k].real, grid[k].imag]}
     return Report.from_residual("q-identities", worst, tol, witness)
 
 
@@ -346,31 +358,43 @@ def check_uniform_unitary(u: UnitaryDilation, t: LinearPencil,
 
 def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
                       grid_size: int = 32, tol: float = 1e-9) -> Report:
-    """P_H U(lam)^n |H = T(lam)^n and P_H U(lam)^{-n} |H = (T(lam)^n)^*."""
+    """P_H U(lam)^n |H = T(lam)^n and P_H U(lam)^{-n} |H = (T(lam)^n)^*.
+
+    The powers are built on the dense window of ``word_letters_unitary``,
+    exact for words up to length max_n in the letters and in their
+    adjoints.  One (dim, G * n_t) block holds a basis of H for every grid
+    point; each step applies U0 and U1 to the whole block, forward as
+    U0 + lam U1 and backward as U0^* + conj(lam) U1^* (U(lam)^{-1} =
+    U(lam)^* on the circle), so no per-lambda window matrix is formed.  The
+    witness is the first (lam, n) in grid order, then n, with the largest
+    residual.
+    """
     n_t = t.shape[0]
     if t.shape[0] != t.shape[1] or n_t > u.dim_h:
         raise DimensionMismatch("pencil does not fit the dilation's head space")
-    worst = 0.0
-    witness = None
-    basis = [KVector.from_kplus(
-        KPlusVector(u.dim_y, u.dim_h, (), np.eye(u.dim_h)[:, j]), u.dim_u)
-        for j in range(n_t)]
-    for lam in unit_circle_grid(grid_size):
-        tv = evaluate(t, lam)
-        power = np.eye(n_t, dtype=complex)
-        forward = list(basis)
-        backward = list(basis)
-        for n in range(1, max_n + 1):
-            power = tv @ power
-            forward = [apply_u(u, lam, x) for x in forward]
-            backward = [apply_u_adjoint(u, lam, x) for x in backward]
-            fwd_heads = np.stack([x.kplus.head[:n_t] for x in forward], axis=1)
-            bwd_heads = np.stack([x.kplus.head[:n_t] for x in backward], axis=1)
-            resid = max(spec_norm(fwd_heads - power),
-                        spec_norm(bwd_heads - power.conj().T))
-            if resid > worst:
-                worst = resid
-                witness = {"n": n, "lambda": [lam.real, lam.imag]}
+    grid = unit_circle_grid(grid_size)
+    letters = word_letters_unitary(u, n_t, max_n)
+    u0, u1 = letters.ops
+    u0_adj, u1_adj = u0.conj().T, u1.conj().T
+    lam = np.repeat(grid, n_t)  # column g * n_t + j is basis vector j at grid[g]
+    forward = backward = np.tile(letters.start, (1, grid_size))
+    tv = evaluate_all(t, grid)
+    power = np.broadcast_to(np.eye(n_t, dtype=complex), tv.shape)
+    resid = np.zeros((grid_size, max_n))
+    for n in range(1, max_n + 1):
+        power = tv @ power
+        forward = u0 @ forward + lam * (u1 @ forward)
+        backward = u0_adj @ backward + np.conj(lam) * (u1_adj @ backward)
+        fwd, bwd = (x[letters.head].reshape(n_t, grid_size, n_t).swapaxes(0, 1)
+                    for x in (forward, backward))
+        resid[:, n - 1] = np.maximum(spec_norms(fwd - power),
+                                     spec_norms(bwd - adjoints(power)))
+    worst, witness = 0.0, None
+    k = _worst_index(resid.ravel(), worst)
+    if k is not None:
+        g, n = divmod(k, max_n)
+        worst = resid[g, n]
+        witness = {"n": n + 1, "lambda": [grid[g].real, grid[g].imag]}
     return Report.from_residual("compression-tower", worst, tol, witness)
 
 
@@ -426,6 +450,12 @@ def interior_samples(count: int) -> np.ndarray:
     return radii[k % 4] * np.exp(2j * np.pi * k / count)
 
 
+def theta_boundary_residuals(theta: LinearPencil, lams) -> np.ndarray:
+    """||theta(lam)^H theta(lam) - I|| at each lam (boundary isometry)."""
+    values = evaluate_all(theta, lams)
+    return spec_norms(adjoints(values) @ values - np.eye(theta.shape[1]))
+
+
 def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
                   grid_size: int = 64, disk_samples: int = 32,
                   tol: float = 1e-9, rank_tol: float = _RANK_TOL) -> Report:
@@ -438,23 +468,22 @@ def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
     rows, cols = theta.shape
     if rows != dim_y + dim_h or cols != dim_h + dim_u:
         raise DimensionMismatch("theta block dimensions are inconsistent")
-    worst = 0.0
-    witness = None
-    rank_ok = True
-    eye = np.eye(cols)
-    for lam in unit_circle_grid(grid_size):
-        val = evaluate(theta, lam)
-        resid = spec_norm(val.conj().T @ val - eye)
-        if resid > worst:
-            worst, witness = resid, {"where": "boundary", "lambda": [lam.real, lam.imag]}
-        if numerical_rank(val[:dim_y, :dim_h], rank_tol) != dim_y:
-            rank_ok = False
-        if numerical_rank(val[dim_y:, dim_h:], rank_tol) != dim_u:
-            rank_ok = False
-    for z in interior_samples(disk_samples):
-        excess = max(0.0, spec_norm(evaluate(theta, z)) - 1.0)
-        if excess > worst:
-            worst, witness = excess, {"where": "interior", "z": [z.real, z.imag]}
+    grid = unit_circle_grid(grid_size)
+    worst, witness = 0.0, None
+    boundary = theta_boundary_residuals(theta, grid)
+    k = _worst_index(boundary, worst)
+    if k is not None:
+        worst, witness = boundary[k], {"where": "boundary",
+                                       "lambda": [grid[k].real, grid[k].imag]}
+    values = evaluate_all(theta, grid)
+    rank_ok = bool(np.all(ranks(values[:, :dim_y, :dim_h], rank_tol) == dim_y)
+                   and np.all(ranks(values[:, dim_y:, dim_h:], rank_tol) == dim_u))
+    samples = interior_samples(disk_samples)
+    excess = np.maximum(0.0, spec_norms(evaluate_all(theta, samples)) - 1.0)
+    k = _worst_index(excess, worst)
+    if k is not None:
+        worst, witness = excess[k], {"where": "interior",
+                                     "z": [samples[k].real, samples[k].imag]}
     if not rank_ok:
         worst = max(worst, 1.0)
         witness = {"where": "density-surrogate"}

@@ -23,8 +23,8 @@ from .factorization import (FejerRieszFactor, GramCoefficients,
 from .isodil import (BuiltinExample, KPlusVector, StructuredIsometricPencil,
                      apply, builtin_example, check_dilation, check_minimality,
                      check_uniform, coefficient_norms, word_letters)
-from .linalg import spec_norm
-from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate,
+from .linalg import spec_norm, spec_norms
+from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate_all,
                      unit_circle_grid)
 from .reporting import Report
 from .unidil import (KVector, QPencil, UnitaryDilation, apply_u,
@@ -53,7 +53,7 @@ def seeded_corpus(count: int = 20, max_dim: int = 6, target_norm: float = 0.95,
         a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         p = LinearPencil(a0, a1)
-        peak = max(spec_norm(evaluate(p, lam)) for lam in unit_circle_grid(grid_size))
+        peak = float(spec_norms(evaluate_all(p, unit_circle_grid(grid_size))).max())
         scale = target_norm / peak
         pencils.append(LinearPencil(scale * a0, scale * a1))
     return pencils

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pencildil import LinearPencil, Report, canonical_chain, verify_q_identities
+from pencildil import (LinearPencil, Report, canonical_chain, check_biinner,
+                       verify_factorization, verify_q_identities)
 from pencildil.cli import load_pencil, main, save_pencil
 
 
@@ -158,6 +159,34 @@ def test_residuals_unitarity_matches_q_identities(tmp_path, scalar_file):
     report = verify_q_identities(chain.v, chain.q, grid_size=32)
     assert len(column) == 32
     assert report.worst_residual == max(column)
+
+
+def _residual_column(path, check, grid, out):
+    assert main(["residuals", path, "--check", check, "--grid", str(grid),
+                 "--csv", str(out)]) == 0
+    return [float(line.split(",")[2])
+            for line in out.read_text().strip().split("\n")[1:]]
+
+
+def test_residuals_factorization_matches_verify(tmp_path):
+    path = write_pencil(tmp_path, "p.json", [[0.4, 0.1j], [0.0, 0.3]],
+                        [[0.2, 0.0], [0.25, -0.1]])
+    column = _residual_column(path, "factorization", 64, tmp_path / "f.csv")
+    chain = canonical_chain(load_pencil(path))
+    assert len(column) == 64
+    assert max(column) == verify_factorization(chain.pencil, chain.factor, 64)
+
+
+def test_residuals_theta_matches_biinner_boundary(tmp_path, scalar_file):
+    column = _residual_column(scalar_file, "theta", 64, tmp_path / "t.csv")
+    chain = canonical_chain(load_pencil(scalar_file))
+    report = check_biinner(chain.theta, chain.factor.dim_y, 1, chain.u.dim_u,
+                           grid_size=64)
+    assert report.witness["where"] == "boundary"
+    k = column.index(max(column))
+    lam = np.exp(2j * math.pi * k / 64)
+    assert report.worst_residual == max(column) > 0.0
+    assert report.witness["lambda"] == pytest.approx([lam.real, lam.imag], abs=1e-15)
 
 
 def test_commands_do_not_mutate_input(tmp_path, scalar_file):

@@ -1,0 +1,303 @@
+"""Batched grid checks against the point-by-point loops they replace.
+
+Each reference below evaluates one lambda at a time, as the checks did
+before the grids were stacked.  Classification, factorization, the outer
+surrogate and the biinner report must agree exactly: the batched LAPACK
+calls see the same matrices.  The Q identities and the compression tower
+are computed on smaller (exactly equivalent) matrices and agree to
+round-off.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pencildil import (GramCoefficients, KPlusVector, KVector, LinearPencil,
+                       NotPSD, Report, apply_u, apply_u_adjoint,
+                       bauer_factorize, canonical_chain, check_biinner,
+                       classify, compression_tower, evaluate_all,
+                       outer_surrogate_check, run_pipeline, seeded_corpus,
+                       verify_factorization)
+from pencildil.factorization import factorization_residuals
+from pencildil.isodil import dense_rect, window_dim
+from pencildil.linalg import numerical_rank, ranks, spec_norm, spec_norms
+from pencildil.pencil import PencilClass, PencilKind, evaluate, unit_circle_grid
+from pencildil.unidil import (interior_samples, q_identity_residuals,
+                              theta_boundary_residuals)
+
+ROUND_OFF = 1e-15
+
+
+def _rotation(n, seed=5):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _dim_y_below_dim_h():
+    """Isometric on one line of H, so the defect has rank 1 < dim H = 2."""
+    w = _rotation(2)
+    a0, a1 = np.diag([1.0, 0.5]), np.diag([0.0, 0.3])
+    return LinearPencil(w @ a0 @ w.conj().T, w @ a1 @ w.conj().T)
+
+
+ISOMETRIC = LinearPencil(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+@pytest.fixture(scope="module")
+def pencils(corpus):
+    return list(corpus) + [_dim_y_below_dim_h(), ISOMETRIC]
+
+
+@pytest.fixture(scope="module")
+def chains(all_chains):
+    return list(all_chains) + [canonical_chain(_dim_y_below_dim_h()),
+                               canonical_chain(ISOMETRIC)]
+
+
+def test_special_inputs_have_the_intended_dimensions(chains):
+    assert chains[-2].factor.dim_y == 1 and chains[-2].factor.dim_h == 2
+    assert chains[-1].factor.dim_y == 0
+
+
+# --- references: one lambda at a time ------------------------------------
+
+
+def loop_classify(p, grid_size=256, tol=1e-10):
+    rows, cols = p.shape
+    eye_in = np.eye(cols)
+    values = [evaluate(p, lam) for lam in unit_circle_grid(grid_size)]
+    max_norm = max((spec_norm(v) for v in values), default=0.0)
+    iso_defect = max(
+        spec_norm(p.a0.conj().T @ p.a0 + p.a1.conj().T @ p.a1 - eye_in),
+        spec_norm(p.a1.conj().T @ p.a0),
+    )
+    if iso_defect <= tol:
+        eye_out = np.eye(rows)
+        uni_defect = max(
+            spec_norm(p.a0 @ p.a0.conj().T + p.a1 @ p.a1.conj().T - eye_out),
+            spec_norm(p.a1 @ p.a0.conj().T),
+        )
+        kind = PencilKind.UNITARY if uni_defect <= tol else PencilKind.ISOMETRIC
+        return PencilClass(kind, True, 0.0, max_norm)
+    min_eig = min(
+        (float(np.linalg.eigvalsh(eye_in - v.conj().T @ v)[0]) for v in values),
+        default=0.0,
+    )
+    margin = 1.0 - max_norm
+    if min_eig >= -tol:
+        lip = spec_norm(p.a1) * math.pi / grid_size
+        return PencilClass(PencilKind.CONTRACTIVE, max_norm <= 1.0 - lip,
+                           margin, max_norm)
+    return PencilClass(PencilKind.NONE, False, margin, max_norm)
+
+
+def loop_not_psd_message(g, grid_size=256, tol=1e-12):
+    for lam in unit_circle_grid(grid_size):
+        w = np.linalg.eigvalsh(g.r0 + lam * g.c + np.conj(lam) * g.c.conj().T)
+        if w.size and w[0] < -tol:
+            return f"defect symbol has eigenvalue {w[0]:.3e} at lam={lam:.4f}"
+    return None
+
+
+def loop_factorization_residuals(t, f, lams):
+    n = t.shape[1]
+    out = []
+    for lam in lams:
+        tv = evaluate(t, lam)
+        fv = f(lam)
+        out.append(spec_norm(fv.conj().T @ fv - (np.eye(n) - tv.conj().T @ tv)))
+    return out
+
+
+def loop_outer_surrogate(f, grid_size=256, tol=1e-10):
+    if f.dim_y == 0:
+        return True
+    return all(numerical_rank(f(lam), tol) == f.dim_y
+               for lam in unit_circle_grid(grid_size))
+
+
+def loop_biinner(theta, dim_y, dim_h, dim_u, grid_size=64, disk_samples=32,
+                 tol=1e-9, rank_tol=1e-8):
+    cols = theta.shape[1]
+    worst, witness, rank_ok = 0.0, None, True
+    for lam in unit_circle_grid(grid_size):
+        val = evaluate(theta, lam)
+        resid = spec_norm(val.conj().T @ val - np.eye(cols))
+        if resid > worst:
+            worst, witness = resid, {"where": "boundary", "lambda": [lam.real, lam.imag]}
+        if numerical_rank(val[:dim_y, :dim_h], rank_tol) != dim_y:
+            rank_ok = False
+        if numerical_rank(val[dim_y:, dim_h:], rank_tol) != dim_u:
+            rank_ok = False
+    for z in interior_samples(disk_samples):
+        excess = max(0.0, spec_norm(evaluate(theta, z)) - 1.0)
+        if excess > worst:
+            worst, witness = excess, {"where": "interior", "z": [z.real, z.imag]}
+    if not rank_ok:
+        worst, witness = max(worst, 1.0), {"where": "density-surrogate"}
+    details = [{"density_check": "pointwise rank surrogate", "passed": rank_ok}]
+    return Report.from_residual("theta-biinner", worst, tol, witness, details)
+
+
+def loop_q_residuals(v, q, lams):
+    """I - V V^* - Q Q^* and V^* Q on a window two slots deeper than the core."""
+    t = v.core_depth + 3
+    din, dout = window_dim(v, t), window_dim(v, t + 1)
+    wp = v.window_prime_dim
+    embed = np.zeros((dout, din), dtype=complex)
+    embed[dout - din:, :] = np.eye(din)
+    out = []
+    for lam in lams:
+        vt = dense_rect(v, lam, t)
+        qs = q(lam)
+        qq = np.zeros((dout, din), dtype=complex)
+        qq[dout - wp:, din - wp:] = qs @ qs.conj().T
+        r1 = spec_norm(embed - vt @ (vt.conj().T @ embed) - qq)
+        q_emb = np.zeros((dout, qs.shape[1]), dtype=complex)
+        q_emb[dout - wp:, :] = qs
+        out.append(max(r1, spec_norm(vt.conj().T @ q_emb)))
+    return out
+
+
+def loop_tower_worst(u, t, max_n=6, grid_size=32):
+    """Largest tower residual from the exact structured actions."""
+    n_t = t.shape[0]
+    basis = [KVector.from_kplus(
+        KPlusVector(u.dim_y, u.dim_h, (), np.eye(u.dim_h)[:, j]), u.dim_u)
+        for j in range(n_t)]
+    worst = 0.0
+    for lam in unit_circle_grid(grid_size):
+        tv = evaluate(t, lam)
+        power = np.eye(n_t, dtype=complex)
+        forward, backward = list(basis), list(basis)
+        for _ in range(max_n):
+            power = tv @ power
+            forward = [apply_u(u, lam, x) for x in forward]
+            backward = [apply_u_adjoint(u, lam, x) for x in backward]
+            fwd = np.stack([x.kplus.head[:n_t] for x in forward], axis=1)
+            bwd = np.stack([x.kplus.head[:n_t] for x in backward], axis=1)
+            worst = max(worst, spec_norm(fwd - power),
+                        spec_norm(bwd - power.conj().T))
+    return worst
+
+
+# --- parity ----------------------------------------------------------------
+
+
+def test_evaluate_all_and_stack_helpers_match_pointwise(pencils):
+    grid = unit_circle_grid(64)
+    for p in pencils:
+        values = evaluate_all(p, grid)
+        assert np.array_equal(values, np.stack([evaluate(p, lam) for lam in grid]))
+        assert np.array_equal(spec_norms(values), [spec_norm(v) for v in values])
+        for tol in (1e-10, 0.5):
+            assert np.array_equal(ranks(values, tol),
+                                  [numerical_rank(v, tol) for v in values])
+    empty = np.zeros((3, 0, 2))
+    assert np.array_equal(spec_norms(empty), np.zeros(3))
+    assert np.array_equal(ranks(empty), np.zeros(3, dtype=int))
+
+
+def test_classify_matches_loop(pencils):
+    scaled = [LinearPencil(1.1 * p.a0, 1.1 * p.a1) for p in pencils[:6]]
+    for p in pencils + scaled:
+        for grid_size in (8, 256):
+            assert classify(p, grid_size) == loop_classify(p, grid_size)
+    kinds = {classify(p).kind for p in pencils + scaled}
+    assert kinds == {PencilKind.CONTRACTIVE, PencilKind.UNITARY, PencilKind.NONE}
+
+
+def test_not_psd_names_the_same_lambda():
+    # eigenvalues r_k + 2 rho_k cos(theta + phi_k): negative on an arc that
+    # misses lambda = 1 because cos(phi_k) > 0
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (1, 2, 3):
+        r = rng.uniform(0.05, 1.0, n)
+        c = rng.uniform(0.3, 1.0, n) * np.exp(1j * rng.uniform(-1.4, 1.4, n))
+        w = _rotation(n, seed=n)
+        cases.append(GramCoefficients(w @ np.diag(r) @ w.conj().T,
+                                      w @ np.diag(c) @ w.conj().T))
+    for g in cases:
+        expected = loop_not_psd_message(g)
+        assert expected is not None and "lam=1.0000+0.0000j" not in expected
+        with pytest.raises(NotPSD) as info:
+            bauer_factorize(g)
+        assert str(info.value) == expected
+
+
+def test_factorization_and_outer_surrogate_match_loop(pencils, chains):
+    grid = unit_circle_grid(256)
+    for t, chain in zip(pencils, chains):
+        f = chain.factor
+        expected = loop_factorization_residuals(t, f, grid)
+        assert np.array_equal(factorization_residuals(t, f, grid), expected)
+        assert verify_factorization(t, f) == max(expected, default=0.0)
+        assert outer_surrogate_check(f) == loop_outer_surrogate(f)
+        # a loose cutoff makes some pointwise ranks fall short
+        assert outer_surrogate_check(f, tol=0.5) == loop_outer_surrogate(f, tol=0.5)
+
+
+def test_biinner_matches_loop(chains):
+    thetas = [(c.theta, c.factor.dim_y, c.pencil.shape[0], c.u.dim_u) for c in chains]
+    rng = np.random.default_rng(3)
+    a0, a1 = (rng.standard_normal((3, 4)) for _ in range(2))
+    thetas.append((LinearPencil(a0, a1), 1, 2, 2))  # non-square, fails the checks
+    thetas.append((LinearPencil(0.3 * a0, 0.3 * a1), 1, 2, 2))  # interior passes
+    a0[:1, :2] = 0.0
+    a1[:1, :2] = 0.0
+    thetas.append((LinearPencil(a0, a1), 1, 2, 2))  # rank-deficient corner
+    for theta, dim_y, dim_h, dim_u in thetas:
+        got = check_biinner(theta, dim_y, dim_h, dim_u)
+        want = loop_biinner(theta, dim_y, dim_h, dim_u)
+        assert got.to_json_dict() == want.to_json_dict()
+        boundary = theta_boundary_residuals(theta, unit_circle_grid(64))
+        assert boundary.shape == (64,)
+    wheres = {check_biinner(*args).witness["where"] for args in thetas[-3:]}
+    assert wheres == {"boundary", "density-surrogate"}
+
+
+def test_q_identity_residuals_match_window_loop(chains):
+    grid = unit_circle_grid(64)
+    for chain in chains:
+        got = q_identity_residuals(chain.v, chain.q, grid)
+        want = loop_q_residuals(chain.v, chain.q, grid)
+        assert np.max(np.abs(got - want)) <= ROUND_OFF
+
+
+def test_compression_tower_matches_structured_loop(pencils, chains):
+    for t, chain in zip(pencils, chains):
+        got = compression_tower(chain.u, t, max_n=4, grid_size=8)
+        want = loop_tower_worst(chain.u, t, max_n=4, grid_size=8)
+        assert abs(got.worst_residual - want) <= ROUND_OFF
+        assert got.passed
+
+
+def test_compression_tower_sees_a_wrong_pencil(chains):
+    chain = chains[1]
+    t = chain.pencil
+    wrong = LinearPencil(t.a0, t.a1 + 1e-6)
+    report = compression_tower(chain.u, wrong, max_n=3, grid_size=8)
+    assert report.worst_residual == pytest.approx(
+        loop_tower_worst(chain.u, wrong, max_n=3, grid_size=8), abs=ROUND_OFF)
+    assert not report.passed and set(report.witness) == {"n", "lambda"}
+
+
+def test_pipeline_memory_stays_small():
+    """Guard against stacking window-sized matrices over a grid: the
+    corpus n = 6 pipeline peaks near 2 MB of traced allocations, a
+    (G, window, window) stack would take it past 15 MB."""
+    t = seeded_corpus()[5]
+    assert t.shape == (6, 6)
+    run_pipeline(t, depth=4)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        run_pipeline(t, depth=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

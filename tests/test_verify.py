@@ -43,6 +43,13 @@ def test_pipeline_isometric_input_degenerates():
     assert by_name["dimension-law"].witness == {"dimU": 0, "dimY": 0}
 
 
+def test_pipeline_empty_pencil_passes():
+    empty = LinearPencil(np.zeros((0, 0)), np.zeros((0, 0)))
+    reports = run_pipeline(empty)
+    assert [r.check for r in reports] == PIPELINE_CHECKS
+    assert all(r.passed for r in reports)
+
+
 def test_pipeline_rejects_noncontractive():
     with pytest.raises(NotContractive):
         run_pipeline(LinearPencil([[0.8]], [[0.5]]))
