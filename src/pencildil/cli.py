@@ -227,8 +227,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         residual = getattr(exc, "residual", None)
         if residual is not None:
-            print(f"last residual: {residual:.3e} (consider raising max_iter)",
-                  file=sys.stderr)
+            print(f"last residual: {residual:.3e}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

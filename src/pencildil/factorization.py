@@ -2,10 +2,16 @@
 
 For a contractive pencil the defect is the degree-1 trigonometric symbol
 R(lam) = r0 + lam*c + conj(lam)*c^H with r0 = I - a0^H a0 - a1^H a1 and
-c = -a0^H a1.  The factor F(lam) = f0 + lam*f1 with F^H F = R is computed
-by a Bauer-type fixed point (the block-Cholesky recursion of the
-tridiagonal block Toeplitz symbol), which converges to the maximal
-solution and hence to the outer factor.
+c = -a0^H a1.  The factor F(lam) = f0 + lam*f1 with F^H F = R has
+X = f0^H f0 equal to the maximal solution of X = r0 - c^H X^+ c, the
+Bauer fixed point (the block-Cholesky recursion of the tridiagonal block
+Toeplitz symbol).  That equation is X + A^H X^{-1} A = Q with A = c and
+Q = r0; it is solved by structure-preserving doubling (Guo & Lancaster,
+Math. Comp. 68 (1999); Meini, Math. Comp. 71 (2002)), whose k-th iterate is
+the Bauer iterate 2^k - 1, so the limit is the same maximal solution and
+hence the outer factor.  Doubling converges quadratically for strictly
+contractive pencils and linearly, halving the error each step, when the
+defect is singular on the circle.
 """
 
 from __future__ import annotations
@@ -132,17 +138,23 @@ def outer_roots(f: FejerRieszFactor) -> np.ndarray:
 
 
 def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
-                    max_iter: int = 10000,
+                    max_iter: int = 100,
                     grid_size: int = DEFAULT_GRID) -> FejerRieszFactor:
     """Outer factor of the defect symbol via the Bauer fixed point.
 
-    Iterates X_{k+1} = r0 - c^H X_k^+ c from X_0 = r0 until the step norm
-    falls below ``tol``; the limit is X = f0^H f0 for the outer factor.
-    The factor space Y is the numerical range of the limit, so dim Y can be
-    strictly smaller than dim H when the defect is rank-deficient.  Raises
-    NotPSD when the symbol dips below -tol on the grid and NoConvergence
-    (carrying the last step norm) when max_iter is exhausted; boundary-
-    singular symbols converge sublinearly and may need a larger budget.
+    The Bauer iteration X_{k+1} = r0 - c^H X_k^+ c from X_0 = r0 converges
+    to X = f0^H f0 for the outer factor.  Its iterates are computed by
+    doubling: from A_0 = c, X_0 = r0, P_0 = 0 each step sets
+    W = (X_k - P_k)^+, X_{k+1} = X_k - A_k^H W A_k, P_{k+1} = P_k + A_k W A_k^H
+    and A_{k+1} = A_k W A_k, which makes X_k the Bauer iterate 2^k - 1.  It
+    stops when the step norm falls below ``tol``; ``max_iter`` counts
+    doubling steps.  The factor space Y is the numerical range of the limit,
+    so dim Y can be strictly smaller than dim H when the defect is
+    rank-deficient.  Raises NotPSD when the symbol dips below -tol on the
+    grid and NoConvergence (carrying the last step norm) when max_iter is
+    exhausted, when the coefficients do not match the defect, or when
+    det(f0 + z f1) has a root inside the disk.  Boundary-singular symbols
+    converge linearly (``0.5 + 0.5*lam`` takes 38 steps).
     """
     if g.dim:
         grid = unit_circle_grid(grid_size)
@@ -154,12 +166,16 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
                          f"at lam={grid[k]:.4f}")
 
     n = g.dim
-    x = g.r0.copy()
+    x, a, p = g.r0, g.c, np.zeros_like(g.c)
     step = 0.0
     converged = False
     for _ in range(max_iter):
-        x_next = g.r0 - g.c.conj().T @ _psd_pinv(x) @ g.c
+        w = _psd_pinv(x - p)
+        x_next = x - a.conj().T @ w @ a
+        p = p + a @ w @ a.conj().T
+        a = a @ w @ a
         x_next = 0.5 * (x_next + x_next.conj().T)
+        p = 0.5 * (p + p.conj().T)
         step = spec_norm(x_next - x)
         x = x_next
         if step <= tol:
@@ -167,8 +183,8 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
             break
     if not converged:
         raise NoConvergence(
-            f"Bauer iteration stalled at step norm {step:.3e} after {max_iter} "
-            "iterations (raise max_iter for boundary-singular defects)",
+            f"doubling iteration stalled at step norm {step:.3e} after "
+            f"{max_iter} steps",
             residual=step,
         )
 
@@ -194,14 +210,13 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
             f"factor coefficients do not match the defect (residual {match:.3e})",
             residual=match,
         )
-    if rank <= 8:
-        roots = outer_roots(factor)
-        inside = roots[np.abs(roots) < 1.0 - _ROOT_SLACK]
-        if inside.size:
-            raise NoConvergence(
-                f"computed factor is not outer: root at |z|={np.abs(inside).min():.6f}",
-                residual=float(1.0 - np.abs(inside).min()),
-            )
+    roots = outer_roots(factor)
+    inside = roots[np.abs(roots) < 1.0 - _ROOT_SLACK]
+    if inside.size:
+        raise NoConvergence(
+            f"computed factor is not outer: root at |z|={np.abs(inside).min():.6f}",
+            residual=float(1.0 - np.abs(inside).min()),
+        )
     return factor
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pencildil import (LinearPencil, Report, canonical_chain, check_biinner,
-                       verify_factorization, verify_q_identities)
+                       factorization, verify_factorization, verify_q_identities)
 from pencildil.cli import load_pencil, main, save_pencil
 
 
@@ -93,12 +93,35 @@ def test_verify_negative_depth_exit_2(capsys, scalar_file, depth):
     assert "input error" in captured.err and "pass" not in captured.out
 
 
-def test_verify_boundary_pencil_exit_1(tmp_path, capsys):
-    # |T(1)| = 1: factorization stalls, a mathematical failure (exit 1)
+def test_verify_boundary_pencil_passes_uncertified(tmp_path, capsys):
+    # |T(1)| = 1: the defect vanishes at lam = 1, yet the factorization
+    # converges to the outer factor F = 0.5 - 0.5*lam (root z = 1).
     path = write_pencil(tmp_path, "boundary.json", [[0.5]], [[0.5]])
-    assert main(["verify", path]) == 1
+    assert main(["verify", path, "--json"]) == 0
+    reports = [Report.from_json_dict(d)
+               for d in json.loads(capsys.readouterr().out)]
+    assert len(reports) == 13 and all(r.passed for r in reports)
+    assert reports[0].check == "classify"
+    assert reports[0].witness == {"kind": "contractive", "certified": False}
+
+    out = tmp_path / "dilation.json"
+    assert main(["dilate", path, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["dimY"] == 1
+    assert abs(complex(*data["f0"][0][0]) - 0.5) <= 1e-10
+    assert abs(complex(*data["f1"][0][0]) + 0.5) <= 1e-10
+
+
+def test_no_convergence_prints_last_residual_without_advice(monkeypatch, capsys,
+                                                            scalar_file):
+    # No subcommand exposes max_iter, and an exhausted budget is not the
+    # only NoConvergence: here the factor fails the outer-root check.
+    monkeypatch.setattr(factorization, "outer_roots", lambda f: np.array([0.25 + 0j]))
+    assert main(["verify", scalar_file]) == 1
     err = capsys.readouterr().err
-    assert "residual" in err
+    assert "error: computed factor is not outer" in err
+    assert "last residual: 7.500e-01" in err
+    assert "max_iter" not in err
 
 
 def test_demo_names_and_witness_output(capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from pencildil import (FejerRieszFactor, GramCoefficients, LinearPencil,
                        NoConvergence, NotContractive, NotPSD, bauer_factorize,
-                       gram_coefficients, outer_roots, outer_surrogate_check,
-                       verify_factorization)
+                       factorization, gram_coefficients, outer_roots,
+                       outer_surrogate_check, verify_factorization)
 from pencildil.linalg import spec_norm
 from pencildil.pencil import evaluate, unit_circle_grid
 
@@ -67,12 +69,130 @@ def test_bauer_rejects_indefinite_symbol():
 
 
 def test_bauer_boundary_singular_raises_no_convergence():
-    # |T(1)| = 1: the defect symbol vanishes at lam = 1 and the iteration
-    # only converges sublinearly.
+    # |T(1)| = 1: the defect symbol vanishes at lam = 1 and doubling only
+    # converges linearly, so a 5-step budget is exhausted.
     g = gram_coefficients(LinearPencil([[0.5]], [[0.5]]))
-    with pytest.raises(NoConvergence) as info:
-        bauer_factorize(g, max_iter=50)
+    with pytest.raises(NoConvergence, match="stalled") as info:
+        bauer_factorize(g, max_iter=5)
     assert info.value.residual is not None and info.value.residual > 0
+
+
+def test_bauer_boundary_singular_converges_to_the_double_root():
+    # X = 0.5 - 0.0625 / X has the double root X = 0.25: F = 0.5 - 0.5*lam,
+    # whose root z = 1 lies on the circle.
+    f = bauer_factorize(gram_coefficients(LinearPencil([[0.5]], [[0.5]])))
+    assert abs(f.f0[0, 0] - 0.5) <= 1e-10 and abs(f.f1[0, 0] + 0.5) <= 1e-10
+    assert abs(abs(outer_roots(f)[0]) - 1.0) <= 1e-10
+
+
+def pinv(x):
+    return np.linalg.pinv(x, rcond=1e-10, hermitian=True)
+
+
+def linear_bauer_oracle(g, tol=1e-12, max_iter=100000):
+    """The linear Bauer fixed point X <- r0 - c^H X^+ c, one step at a time."""
+    x = g.r0.copy()
+    for _ in range(max_iter):
+        x_next = g.r0 - g.c.conj().T @ pinv(x) @ g.c
+        x_next = 0.5 * (x_next + x_next.conj().T)
+        step = spec_norm(x_next - x)
+        x = x_next
+        if step <= tol:
+            return x
+    raise AssertionError("linear Bauer oracle did not converge")
+
+
+def fixed_point_residual(g, x):
+    """||X - r0 + c^H X^+ c||: zero exactly at a solution of the Bauer equation."""
+    return spec_norm(x - g.r0 + g.c.conj().T @ pinv(x) @ g.c)
+
+
+def circle_sup(a0, a1):
+    """sup over |lam| = 1 of ||a0 + lam*a1||: a dense scan polished by Brent."""
+    thetas = 2 * np.pi * np.arange(1024) / 1024
+    values = np.linalg.norm(a0[None] + np.exp(1j * thetas)[:, None, None] * a1[None],
+                            ord=2, axis=(1, 2))
+    k = int(np.argmax(values))
+    best = scipy.optimize.minimize_scalar(
+        lambda theta: -spec_norm(a0 + np.exp(1j * theta) * a1),
+        bounds=(thetas[k] - 2 * np.pi / 1024, thetas[k] + 2 * np.pi / 1024),
+        method="bounded", options={"xatol": 1e-12})
+    return max(float(values[k]), -best.fun)
+
+
+def _gaussian(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(_gaussian(rng, n))[0]
+
+
+def _at_margin(a0, a1, margin):
+    scale = (1.0 - margin) / circle_sup(a0, a1)
+    return LinearPencil(scale * a0, scale * a1)
+
+
+def margin_pencils(margin, seed=41):
+    """Gaussian pencils at n = 2, 4, 8 whose sup norm on the circle is 1 - margin."""
+    rng = np.random.default_rng([seed, round(-math.log10(margin))])
+    return [_at_margin(_gaussian(rng, n), _gaussian(rng, n), margin) for n in (2, 4, 8)]
+
+
+def structured_pencils(seed=42):
+    """At margin 0.05 and n = 6: a defect with dim Y = 3 < dim H (isometric on
+    half of H), a1 = 0, and a nilpotent pencil."""
+    rng = np.random.default_rng(seed)
+    core = _at_margin(_gaussian(rng, 3), _gaussian(rng, 3), 0.05)
+    w = _unitary(rng, 6)
+    a0 = scipy.linalg.block_diag(_unitary(rng, 3), core.a0)
+    a1 = scipy.linalg.block_diag(np.zeros((3, 3)), core.a1)
+    pencils = [LinearPencil(w @ a0 @ w.conj().T, w @ a1 @ w.conj().T),
+               _at_margin(_gaussian(rng, 6), np.zeros((6, 6)), 0.05)]
+    w = _unitary(rng, 6)
+    a0, a1 = (w @ np.triu(_gaussian(rng, 6), 1) @ w.conj().T for _ in range(2))
+    return pencils + [_at_margin(a0, a1, 0.05)]
+
+
+def test_doubling_matches_the_linear_oracle_on_the_corpus(corpus):
+    for t in corpus:
+        g = gram_coefficients(t)
+        f = bauer_factorize(g, max_iter=8)  # step-count guard
+        x = f.f0.conj().T @ f.f0
+        assert spec_norm(x - linear_bauer_oracle(g)) <= 1e-12
+        assert fixed_point_residual(g, x) <= 1e-13
+
+
+def test_doubling_matches_the_linear_oracle_near_the_edge():
+    pencils = [t for m in (1e-2, 1e-3, 1e-4) for t in margin_pencils(m)]
+    dims_y = []
+    for t in pencils + structured_pencils():
+        g = gram_coefficients(t)
+        f = bauer_factorize(g)
+        x = f.f0.conj().T @ f.f0
+        assert spec_norm(x - linear_bauer_oracle(g)) <= 1e-9
+        assert fixed_point_residual(g, x) <= 1e-13
+        dims_y.append(f.dim_y)
+    assert dims_y[-3:] == [3, 6, 6]  # dim Y < dim H, a1 = 0, nilpotent
+
+
+def test_doubling_solves_margin_1e8_pencils():
+    # The linear oracle needs far too many steps here; the fixed point
+    # equation itself is the reference.
+    for t in margin_pencils(1e-8):
+        g = gram_coefficients(t)
+        f = bauer_factorize(g)
+        assert fixed_point_residual(g, f.f0.conj().T @ f.f0) <= 1e-13
+
+
+def test_outer_root_check_runs_at_every_dimension(monkeypatch):
+    rng = np.random.default_rng(12)
+    g = gram_coefficients(_at_margin(_gaussian(rng, 12), _gaussian(rng, 12), 0.1))
+    assert bauer_factorize(g).dim_y == 12
+    monkeypatch.setattr(factorization, "outer_roots",
+                        lambda f: np.array([0.5 + 0j]))
+    with pytest.raises(NoConvergence, match="not outer"):
+        bauer_factorize(g)
 
 
 def test_verify_factorization_and_perturbation():
