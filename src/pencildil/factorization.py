@@ -213,9 +213,10 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
     roots = outer_roots(factor)
     inside = roots[np.abs(roots) < 1.0 - _ROOT_SLACK]
     if inside.size:
+        depth = float(1.0 - np.abs(inside).min())
         raise NoConvergence(
-            f"computed factor is not outer: root at |z|={np.abs(inside).min():.6f}",
-            residual=float(1.0 - np.abs(inside).min()),
+            f"computed factor is not outer: root at 1 - |z| = {depth:.3e}",
+            residual=depth,
         )
     return factor
 
@@ -228,13 +229,6 @@ def factorization_residuals(t: LinearPencil, f: FejerRieszFactor,
     tv = evaluate_all(t, lams)
     fv = evaluate_all(f.as_pencil(), lams)
     return spec_norms(adjoints(fv) @ fv - (np.eye(t.shape[1]) - adjoints(tv) @ tv))
-
-
-def verify_factorization(t: LinearPencil, f: FejerRieszFactor,
-                         grid_size: int = DEFAULT_GRID) -> float:
-    """Max grid residual of F(lam)^H F(lam) - (I - T(lam)^H T(lam))."""
-    return float(factorization_residuals(t, f, unit_circle_grid(grid_size))
-                 .max(initial=0.0))
 
 
 def outer_surrogate_check(f: FejerRieszFactor, grid_size: int = DEFAULT_GRID,

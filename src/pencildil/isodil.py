@@ -25,9 +25,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, FactorMismatch, ShapeMismatch
-from .factorization import FejerRieszFactor, verify_factorization
+from .factorization import FejerRieszFactor
 from .linalg import spec_norm
-from .pencil import DEFAULT_GRID, LinearPencil, evaluate
+from .pencil import LinearPencil, evaluate, isometry_defect
 from .reporting import Report
 from .words import Letters, grouped_sums, span_rank, worst_word
 
@@ -183,27 +183,23 @@ class StructuredIsometricPencil:
         return KPlusVector.zero(self.dim_y, self.dim_h)
 
 
-def core_isometry_defect(v: StructuredIsometricPencil) -> float:
-    """How far the core is from an isometric pencil (0 for exact cores)."""
-    b0, b1 = v.core.a0, v.core.a1
-    eye = np.eye(v.window_dim)
-    return max(
-        spec_norm(b0.conj().T @ b0 + b1.conj().T @ b1 - eye),
-        spec_norm(b1.conj().T @ b0),
-    )
+def build_canonical(t: LinearPencil,
+                    f: FejerRieszFactor) -> StructuredIsometricPencil:
+    """Canonical minimal isometric dilation: depth-0 core stacking F over T.
 
-
-def build_canonical(t: LinearPencil, f: FejerRieszFactor,
-                    grid_size: int = DEFAULT_GRID) -> StructuredIsometricPencil:
-    """Canonical minimal isometric dilation: depth-0 core stacking F over T."""
-    residual = verify_factorization(t, f, grid_size=grid_size)
+    F^H F = I - T^H T on the circle says that the core is isometric, so the
+    factor is accepted on the core's ``isometry_defect``.
+    """
+    if f.dim_h != t.shape[1]:
+        raise ShapeMismatch("factor and pencil act on different spaces")
+    core = LinearPencil(np.vstack([f.f0, t.a0]), np.vstack([f.f1, t.a1]))
+    residual = isometry_defect(core)
     if residual > _FACTOR_TOL:
         raise FactorMismatch(
             f"factor does not match the pencil defect (residual {residual:.3e})"
         )
-    n = t.shape[0]
-    core = LinearPencil(np.vstack([f.f0, t.a0]), np.vstack([f.f1, t.a1]))
-    return StructuredIsometricPencil(dim_y=f.dim_y, dim_h=n, core_depth=0, core=core)
+    return StructuredIsometricPencil(dim_y=f.dim_y, dim_h=t.shape[0],
+                                     core_depth=0, core=core)
 
 
 class BuiltinExample(Enum):

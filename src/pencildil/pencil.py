@@ -3,7 +3,7 @@
 A pencil is classified over the unit circle: contractive means
 T(lam)^H T(lam) <= I for all |lam| = 1, isometric means equality, unitary
 additionally T(lam) T(lam)^H = I.  Isometry and unitarity are decided
-algebraically on the coefficients (exact for all lam at once);
+on the coefficients by ``isometry_defect`` (a bound for all lam at once);
 contractivity is a grid decision with a Lipschitz certificate.  A grid is
 evaluated as one stacked (G, rows, cols) array and decided by batched
 LAPACK calls, pointwise equal to evaluating it one lambda at a time.
@@ -64,6 +64,21 @@ def evaluate_all(p: LinearPencil, lams) -> np.ndarray:
     return p.a0 + lams[:, None, None] * p.a1
 
 
+def isometry_defect(p: LinearPencil) -> float:
+    """||D|| + 2||C||, D = a0^H a0 + a1^H a1 - I, C = a0^H a1.
+
+    T(lam)^H T(lam) - I = D + lam*C + conj(lam)*C^H has the Fourier
+    coefficients D and C, so its maximum M over |lam| = 1 is at least
+    max(||D||, ||C||) and the returned bound lies in [M, 3M]: zero exactly
+    for isometric pencils, and a pass holds on the whole circle.  The
+    pencil (a0^H, a1^H) equals T(lam)^H at conj(lam), which bounds
+    T T^H - I the same way.
+    """
+    a0, a1 = p.a0, p.a1
+    gram = a0.conj().T @ a0 + a1.conj().T @ a1 - np.eye(p.shape[1])
+    return spec_norm(gram) + 2.0 * spec_norm(a0.conj().T @ a1)
+
+
 class PencilKind(Enum):
     UNITARY = "unitary"
     ISOMETRIC = "isometric"
@@ -89,10 +104,9 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
              tol: float = 1e-10) -> PencilClass:
     """Classify a pencil as unitary / isometric / contractive / none.
 
-    Isometric iff a0^H a0 + a1^H a1 = I and a1^H a0 = 0 (expanding
-    T(lam)^H T(lam) = I for all lam forces the cross term to vanish);
-    unitary iff additionally the adjoint identities hold.  Contractive is a
-    grid test: min eig(I - T^H T) >= -tol at grid_size roots of unity;
+    Isometric iff ``isometry_defect`` is within ``tol``; unitary iff the
+    adjoint pencil (a0^H, a1^H) is isometric too.  Contractive is a grid
+    test: min eig(I - T^H T) >= -tol at grid_size roots of unity;
     ``certified`` marks the stronger Lipschitz bound
     max_grid ||T|| <= 1 - ||a1|| * pi / grid_size, which certifies the
     whole circle.  Boundary pencils (isometric ones have margin 0) pass the
@@ -100,25 +114,15 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    rows, cols = p.shape
-    eye_in = np.eye(cols)
-
     values = evaluate_all(p, unit_circle_grid(grid_size))
     max_norm = float(spec_norms(values).max())
 
-    iso_defect = max(
-        spec_norm(p.a0.conj().T @ p.a0 + p.a1.conj().T @ p.a1 - eye_in),
-        spec_norm(p.a1.conj().T @ p.a0),
-    )
-    if iso_defect <= tol:
-        eye_out = np.eye(rows)
-        uni_defect = max(
-            spec_norm(p.a0 @ p.a0.conj().T + p.a1 @ p.a1.conj().T - eye_out),
-            spec_norm(p.a1 @ p.a0.conj().T),
-        )
-        kind = PencilKind.UNITARY if uni_defect <= tol else PencilKind.ISOMETRIC
+    if isometry_defect(p) <= tol:
+        unitary = isometry_defect(LinearPencil(p.a0.conj().T, p.a1.conj().T)) <= tol
+        kind = PencilKind.UNITARY if unitary else PencilKind.ISOMETRIC
         return PencilClass(kind, certified=True, margin=0.0, max_norm_on_grid=max_norm)
 
+    eye_in = np.eye(p.shape[1])
     min_eig = float(np.linalg.eigvalsh(eye_in - adjoints(values) @ values)[:, 0].min())
     margin = 1.0 - max_norm
     if min_eig >= -tol:

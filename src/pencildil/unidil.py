@@ -6,7 +6,8 @@ wandering space L, the gap space K1 between the full range and the range
 at parameter 1, and the column space U = K1 (+) L are all finite
 computations.  The extension acts on K = K+ (+) (+)_{1}^{inf} U by feeding
 future slot 1 through the isometric pencil Q(lam) = [P(lam)|K1, 0; 0, I_L]
-and shifting the remaining future slots down.
+and shifting the remaining future slots down; it is unitary exactly when
+its square core block [C | Q] is.
 
 The block function theta(z) = [[F, P_Y Q], [T, P_H Q]] assembled from the
 canonical chain is linear, contractive on the disk and unitary on the
@@ -24,12 +25,11 @@ import numpy as np
 from .errors import DimensionMismatch, NotIsometric, PencilError
 from .factorization import FejerRieszFactor
 from .isodil import (KPlusVector, StructuredIsometricPencil, apply,
-                     apply_adjoint, core_isometry_defect, dense_coefficient,
-                     window_dim)
+                     apply_adjoint, dense_coefficient, window_dim)
 from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
                      orthonormal_range, projector, ranks, spec_norm,
                      spec_norms)
-from .pencil import (DEFAULT_GRID, LinearPencil, evaluate_all,
+from .pencil import (LinearPencil, evaluate_all, isometry_defect,
                      unit_circle_grid)
 from .reporting import Report
 from .words import Letters, span_rank, worst_word
@@ -64,11 +64,7 @@ class QPencil:
         q1 = np.asarray(self.q1, dtype=complex)
         if q0.shape != q1.shape:
             raise DimensionMismatch("Q coefficients must have equal shape")
-        eye = np.eye(q0.shape[1])
-        defect = max(
-            spec_norm(q0.conj().T @ q0 + q1.conj().T @ q1 - eye),
-            spec_norm(q1.conj().T @ q0),
-        )
+        defect = isometry_defect(LinearPencil(q0, q1))
         if defect > _ISO_TOL:
             raise NotIsometric(f"Q pencil is not isometric (defect {defect:.3e})")
         object.__setattr__(self, "q0", q0)
@@ -95,7 +91,7 @@ def core_subspaces(v: StructuredIsometricPencil,
     ran(B0 + B1) inside the split range.  Deeper tail slots always belong
     to the range of the shift part, so nothing escapes the window.
     """
-    defect = core_isometry_defect(v)
+    defect = isometry_defect(v.core)
     if defect > _ISO_TOL:
         raise NotIsometric(f"core pencil is not isometric (defect {defect:.3e})")
     wp = v.window_prime_dim
@@ -160,6 +156,16 @@ class UnitaryDilation:
     @property
     def core_depth(self) -> int:
         return self.v.core_depth
+
+    @property
+    def core_block(self) -> LinearPencil:
+        """The square pencil [C | Q] from the core window W (+) U onto W'.
+
+        U(lam) acts on the core window and future slot 1 by this block and
+        only shifts the other slots, onto slots orthogonal to W'.
+        """
+        return LinearPencil(np.hstack([self.v.core.a0, self.q.q0]),
+                            np.hstack([self.v.core.a1, self.q.q1]))
 
 
 def build_unitary(v: StructuredIsometricPencil) -> UnitaryDilation:
@@ -254,9 +260,8 @@ def apply_u_adjoint(u: UnitaryDilation, lam: complex, x: KVector) -> KVector:
 def coefficient_norms_unitary(u: UnitaryDilation) -> tuple[float, float]:
     """Operator norms of the coefficient operators (U0, U1) on all of K."""
     shift = 1.0 if (u.dim_y > 0 or u.dim_u > 0) else 0.0
-    n0 = max(shift, spec_norm(np.hstack([u.v.core.a0, u.q.q0])))
-    n1 = spec_norm(np.hstack([u.v.core.a1, u.q.q1]))
-    return n0, n1
+    block = u.core_block
+    return max(shift, spec_norm(block.a0)), spec_norm(block.a1)
 
 
 def dense_u_coefficient(u: UnitaryDilation, j: int, tail_depth: int,
@@ -328,17 +333,16 @@ def q_identity_residuals(v: StructuredIsometricPencil, q: QPencil,
     return np.maximum(spec_norms(defect), spec_norms(adjoints(cv) @ qv))
 
 
-def verify_q_identities(v: StructuredIsometricPencil, q: QPencil,
-                        grid_size: int = DEFAULT_GRID,
-                        tol: float = 1e-9) -> Report:
-    """Check I - V(lam)V(lam)^* = Q(lam)Q(lam)^* and V(lam)^*Q(lam) = 0 on the grid."""
-    grid = unit_circle_grid(grid_size)
-    resid = q_identity_residuals(v, q, grid)
-    worst, witness = 0.0, None
-    k = _worst_index(resid, worst)
-    if k is not None:
-        worst, witness = resid[k], {"lambda": [grid[k].real, grid[k].imag]}
-    return Report.from_residual("q-identities", worst, tol, witness)
+def q_identity_defect(u: UnitaryDilation) -> float:
+    """Bound on I - V V^* = Q Q^* and V^* Q = 0 over the whole circle.
+
+    These are B B^* = I and part of B^* B = I for B = ``core_block``, so the
+    larger ``isometry_defect`` of B and of its adjoint lies in [M, 3M] for
+    the circle maximum M of ``q_identity_residuals``.
+    """
+    block = u.core_block
+    adjoint = LinearPencil(block.a0.conj().T, block.a1.conj().T)
+    return max(isometry_defect(block), isometry_defect(adjoint))
 
 
 def check_uniform_unitary(u: UnitaryDilation, t: LinearPencil,
@@ -461,20 +465,17 @@ def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
                   tol: float = 1e-9, rank_tol: float = _RANK_TOL) -> Report:
     """Boundary unitarity, disk contractivity and pointwise density ranks.
 
-    The rank conditions on the corner blocks stand in for the L^2 density
-    conditions; full pointwise rank on the grid is reported as a surrogate,
-    not a certificate.
+    Boundary unitarity of the square theta is its ``isometry_defect``, a
+    bound for the whole circle.  The rank conditions on the corner blocks
+    stand in for the L^2 density conditions; full pointwise rank on the
+    grid is reported as a surrogate, not a certificate.
     """
     rows, cols = theta.shape
     if rows != dim_y + dim_h or cols != dim_h + dim_u:
         raise DimensionMismatch("theta block dimensions are inconsistent")
+    worst = isometry_defect(theta)
+    witness = {"where": "boundary"} if worst > 0.0 else None
     grid = unit_circle_grid(grid_size)
-    worst, witness = 0.0, None
-    boundary = theta_boundary_residuals(theta, grid)
-    k = _worst_index(boundary, worst)
-    if k is not None:
-        worst, witness = boundary[k], {"where": "boundary",
-                                       "lambda": [grid[k].real, grid[k].imag]}
     values = evaluate_all(theta, grid)
     rank_ok = bool(np.all(ranks(values[:, :dim_y, :dim_h], rank_tol) == dim_y)
                    and np.all(ranks(values[:, dim_y:, dim_h:], rank_tol) == dim_u))

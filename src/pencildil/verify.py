@@ -19,19 +19,20 @@ import numpy as np
 from .errors import NotADilation, NotContractive
 from .factorization import (FejerRieszFactor, GramCoefficients,
                             bauer_factorize, gram_coefficients,
-                            outer_surrogate_check, verify_factorization)
+                            outer_surrogate_check)
 from .isodil import (BuiltinExample, KPlusVector, StructuredIsometricPencil,
-                     apply, builtin_example, check_dilation, check_minimality,
-                     check_uniform, coefficient_norms, word_letters)
+                     apply, build_canonical, builtin_example, check_dilation,
+                     check_minimality, check_uniform, coefficient_norms,
+                     word_letters)
 from .linalg import spec_norm, spec_norms
 from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate_all,
-                     unit_circle_grid)
+                     isometry_defect, unit_circle_grid)
 from .reporting import Report
 from .unidil import (KVector, QPencil, UnitaryDilation, apply_u,
                      apply_u_adjoint, assemble_theta, build_q, build_unitary,
                      check_biinner, check_minimality_unitary,
                      check_uniform_unitary, coefficient_norms_unitary,
-                     compression_tower, core_subspaces, verify_q_identities,
+                     compression_tower, core_subspaces, q_identity_defect,
                      word_letters_unitary)
 from .words import Letters, first_difference
 
@@ -80,11 +81,9 @@ class CanonicalChain:
 def canonical_chain(t: LinearPencil,
                     grid_size: int = DEFAULT_GRID) -> CanonicalChain:
     """Factorize, dilate and extend a contractive pencil in one pass."""
-    from .isodil import build_canonical
-
     g = gram_coefficients(t, grid_size=grid_size)
     f = bauer_factorize(g)
-    v = build_canonical(t, f, grid_size=grid_size)
+    v = build_canonical(t, f)
     cores = core_subspaces(v)
     q = build_q(cores)
     u = UnitaryDilation(v=v, q=q, cores=cores)
@@ -132,6 +131,8 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     window is depth + 1 and the unitary one is depth (6 / 5 / 4 at the
     default).  ``rank_tol`` is the relative singular-value cutoff of the
     rank-based checks.  Hard errors propagate and stop the pipeline.
+    ``factorization`` is the ``isometry_defect`` of the core [F; T]: it
+    bounds F^H F - (I - T^H T) on the whole circle.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -151,7 +152,7 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
 
     chain = canonical_chain(t, grid_size=grid_size)
     reports.append(Report.from_residual(
-        "factorization", verify_factorization(t, chain.factor, grid_size), 1e-8,
+        "factorization", isometry_defect(chain.v.core), 1e-8,
         details=[{"dimY": chain.factor.dim_y}],
     ))
     outer_ok = outer_surrogate_check(chain.factor, grid_size)
@@ -161,7 +162,8 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     reports.append(check_uniform(chain.v, t, max_len=word_len))
     reports.append(check_minimality(chain.v, t, depth=depth + 1,
                                     rank_tol=rank_tol))
-    reports.append(verify_q_identities(chain.v, chain.q, grid_size))
+    reports.append(Report.from_residual(
+        "q-identities", q_identity_defect(chain.u), 1e-9))
     reports.append(unitarity_report(chain.u))
     reports.append(compression_tower(chain.u, t, max_n=word_len, grid_size=32))
     reports.append(check_uniform_unitary(chain.u, t, max_len=word_len))
@@ -274,11 +276,6 @@ class DemoName(Enum):
 _DEMO_LAMBDAS = (1.0, -1.0, 1j, complex(np.exp(0.7j)))
 
 
-def _claim(name: str, residual: float, tol: float,
-           witness: dict | None = None) -> Report:
-    return Report.from_residual(name, residual, tol, witness)
-
-
 def _expect_flag(name: str, ok: bool, witness: dict | None = None) -> Report:
     return Report.from_residual(name, 0.0 if ok else 1.0, 0.0, witness)
 
@@ -296,10 +293,10 @@ def _demo_sz_nagy_scalar() -> list[Report]:
     chain = canonical_chain(t)
     f = chain.factor
     out = [
-        _claim("sz-nagy-scalar/defect-factor",
-               abs(f.f0[0, 0] - math.sqrt(0.75)) + spec_norm(f.f1), 1e-12),
-        _claim("sz-nagy-scalar/lambda-independent",
-               spec_norm(chain.v.core.a1) + spec_norm(chain.q.q1), 1e-12),
+        Report.from_residual("sz-nagy-scalar/defect-factor",
+                             abs(f.f0[0, 0] - math.sqrt(0.75)) + spec_norm(f.f1), 1e-12),
+        Report.from_residual("sz-nagy-scalar/lambda-independent",
+                             spec_norm(chain.v.core.a1) + spec_norm(chain.q.q1), 1e-12),
     ]
     out.append(check_uniform(chain.v, t, max_len=6))
     out.append(check_minimality(chain.v, t, depth=5))
@@ -328,9 +325,9 @@ def _demo_two_sided_shift() -> list[Report]:
         resid = max(resid, (apply_u_adjoint(u, lam, e_head) - e_fut1).norm())
     n0, n1 = coefficient_norms_unitary(u)
     out = [
-        _claim("two-sided-shift/bilateral-pattern", resid, 1e-12),
-        _claim("two-sided-shift/lambda-independent", n1, 1e-12),
-        _claim("two-sided-shift/shift-norm", abs(n0 - 1.0), 1e-12),
+        Report.from_residual("two-sided-shift/bilateral-pattern", resid, 1e-12),
+        Report.from_residual("two-sided-shift/lambda-independent", n1, 1e-12),
+        Report.from_residual("two-sided-shift/shift-norm", abs(n0 - 1.0), 1e-12),
     ]
     out.append(check_minimality_unitary(u, t, depth=4))
     out.append(check_uniform_unitary(u, t, max_len=4))
@@ -352,8 +349,9 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
     falsify = equivalence_falsifier(u, classical, t, depth=3)
     witness = falsify.witness or {}
     out = [
-        _claim("lambda-two-sided-shift/extension-property", ext, 1e-12),
-        _claim("lambda-two-sided-shift/lambda-coefficient", abs(n1 - 1.0), 1e-12),
+        Report.from_residual("lambda-two-sided-shift/extension-property", ext, 1e-12),
+        Report.from_residual("lambda-two-sided-shift/lambda-coefficient",
+                             abs(n1 - 1.0), 1e-12),
         unitarity_report(u, count=20),
         check_minimality_unitary(u, t, depth=4),
         check_uniform_unitary(u, t, max_len=4),
@@ -390,10 +388,10 @@ def _demo_non_uniform_iso() -> list[Report]:
                                     t, depth=3)
     fw = falsify.witness or {}
     return [
-        _claim("non-uniform-iso/apply-formula", resid, 1e-12),
+        Report.from_residual("non-uniform-iso/apply-formula", resid, 1e-12),
         check_dilation(v, t, max_len=6),
-        _claim("non-uniform-iso/uniformity-witness", witness_resid, 1e-12,
-               witness={"identity": "P_H V(-1)V(1)h = -h"}),
+        Report.from_residual("non-uniform-iso/uniformity-witness", witness_resid,
+                             1e-12, {"identity": "P_H V(-1)V(1)h = -h"}),
         _expect_flag("non-uniform-iso/not-uniform", not uniform.passed,
                      uniform.witness),
         check_minimality(v, t, depth=5),
@@ -429,11 +427,11 @@ def _demo_non_uniform_uni() -> list[Report]:
     w1, w2 = f1.witness or {}, f2.witness or {}
     return [
         unitarity_report(u, count=20),
-        _claim("non-uniform-uni/extension-column", resid, 1e-12),
+        Report.from_residual("non-uniform-uni/extension-column", resid, 1e-12),
         compression_tower(u, t, max_n=6, grid_size=16),
         check_minimality_unitary(u, t, depth=4),
-        _claim("non-uniform-uni/uniformity-witness", witness_resid, 1e-12,
-               witness={"identity": "P_H U(-1)U(1)h = -h"}),
+        Report.from_residual("non-uniform-uni/uniformity-witness", witness_resid,
+                             1e-12, {"identity": "P_H U(-1)U(1)h = -h"}),
         _expect_flag("non-uniform-uni/not-uniform", not uniform.passed,
                      uniform.witness),
         _expect_flag(

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from pencildil import (LinearPencil, Report, canonical_chain, check_biinner,
-                       factorization, verify_factorization, verify_q_identities)
+from pencildil import (FejerRieszFactor, LinearPencil, Report, canonical_chain,
+                       check_biinner, factorization, verify)
 from pencildil.cli import load_pencil, main, save_pencil
+from pencildil.factorization import factorization_residuals
+from pencildil.pencil import unit_circle_grid
+from pencildil.unidil import q_identity_residuals, theta_boundary_residuals
 
 
 def write_pencil(tmp_path, name, a0, a1):
@@ -172,18 +175,6 @@ def test_residuals_deterministic(tmp_path, scalar_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_residuals_unitarity_matches_q_identities(tmp_path, scalar_file):
-    out = tmp_path / "q.csv"
-    assert main(["residuals", scalar_file, "--check", "unitarity",
-                 "--grid", "32", "--csv", str(out)]) == 0
-    column = [float(line.split(",")[2])
-              for line in out.read_text().strip().split("\n")[1:]]
-    chain = canonical_chain(load_pencil(scalar_file))
-    report = verify_q_identities(chain.v, chain.q, grid_size=32)
-    assert len(column) == 32
-    assert report.worst_residual == max(column)
-
-
 def _residual_column(path, check, grid, out):
     assert main(["residuals", path, "--check", check, "--grid", str(grid),
                  "--csv", str(out)]) == 0
@@ -191,25 +182,68 @@ def _residual_column(path, check, grid, out):
             for line in out.read_text().strip().split("\n")[1:]]
 
 
-def test_residuals_factorization_matches_verify(tmp_path):
+@pytest.fixture
+def perturbed_factor(monkeypatch):
+    """Every chain gets its factor moved by 1e-11, small enough for the
+    construction's own isometry and orthogonality cutoffs, so the three
+    identities are off by far more than round-off."""
+    exact = verify.bauer_factorize
+
+    def bumped(g):
+        f = exact(g)
+        return FejerRieszFactor(f.f0 + 1e-11, f.f1)
+
+    monkeypatch.setattr(verify, "bauer_factorize", bumped)
+
+
+def _verify_report(capsys, path, check):
+    capsys.readouterr()
+    main(["verify", path, "--json"])
+    reports = json.loads(capsys.readouterr().out)
+    return next(Report.from_json_dict(d) for d in reports if d["check"] == check)
+
+
+def _assert_within_bound(column, report, round_off=1e-14):
+    # The report lies between the circle maximum M and 3M, and a degree-1
+    # trigonometric polynomial sampled at G points reaches M cos(pi / G)
+    # there.  The bound is tight for scalar pencils, hence the slack.
+    grid_max = max(column)
+    assert grid_max > 1000 * round_off
+    assert grid_max <= report.worst_residual + round_off
+    assert report.worst_residual <= (3 * grid_max / math.cos(math.pi / len(column))
+                                     + round_off)
+
+
+def test_residuals_unitarity_matches_q_identities(tmp_path, capsys, scalar_file,
+                                                  perturbed_factor):
+    column = _residual_column(scalar_file, "unitarity", 32, tmp_path / "q.csv")
+    chain = canonical_chain(load_pencil(scalar_file))
+    assert column == list(q_identity_residuals(chain.v, chain.q,
+                                               unit_circle_grid(32)))
+    _assert_within_bound(column, _verify_report(capsys, scalar_file, "q-identities"))
+
+
+def test_residuals_factorization_matches_verify(tmp_path, capsys,
+                                                perturbed_factor):
     path = write_pencil(tmp_path, "p.json", [[0.4, 0.1j], [0.0, 0.3]],
                         [[0.2, 0.0], [0.25, -0.1]])
     column = _residual_column(path, "factorization", 64, tmp_path / "f.csv")
     chain = canonical_chain(load_pencil(path))
-    assert len(column) == 64
-    assert max(column) == verify_factorization(chain.pencil, chain.factor, 64)
+    assert column == list(factorization_residuals(chain.pencil, chain.factor,
+                                                  unit_circle_grid(64)))
+    _assert_within_bound(column, _verify_report(capsys, path, "factorization"))
 
 
-def test_residuals_theta_matches_biinner_boundary(tmp_path, scalar_file):
+def test_residuals_theta_matches_biinner_boundary(tmp_path, scalar_file,
+                                                  perturbed_factor):
     column = _residual_column(scalar_file, "theta", 64, tmp_path / "t.csv")
     chain = canonical_chain(load_pencil(scalar_file))
+    assert column == list(theta_boundary_residuals(chain.theta,
+                                                   unit_circle_grid(64)))
     report = check_biinner(chain.theta, chain.factor.dim_y, 1, chain.u.dim_u,
                            grid_size=64)
-    assert report.witness["where"] == "boundary"
-    k = column.index(max(column))
-    lam = np.exp(2j * math.pi * k / 64)
-    assert report.worst_residual == max(column) > 0.0
-    assert report.witness["lambda"] == pytest.approx([lam.real, lam.imag], abs=1e-15)
+    assert report.witness == {"where": "boundary"}
+    _assert_within_bound(column, report)
 
 
 def test_commands_do_not_mutate_input(tmp_path, scalar_file):

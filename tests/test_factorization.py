@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from pencildil import (FejerRieszFactor, GramCoefficients, LinearPencil,
-                       NoConvergence, NotContractive, NotPSD, bauer_factorize,
-                       factorization, gram_coefficients, outer_roots,
-                       outer_surrogate_check, verify_factorization)
+from pencildil import (FactorMismatch, FejerRieszFactor, GramCoefficients,
+                       LinearPencil, NoConvergence, NotContractive, NotPSD,
+                       bauer_factorize, build_canonical, factorization,
+                       gram_coefficients, isometry_defect, outer_roots,
+                       outer_surrogate_check)
 from pencildil.linalg import spec_norm
 from pencildil.pencil import evaluate, unit_circle_grid
 
@@ -195,18 +196,38 @@ def test_outer_root_check_runs_at_every_dimension(monkeypatch):
         bauer_factorize(g)
 
 
+def test_not_outer_message_shows_the_distance_to_the_circle(monkeypatch):
+    # A root 3e-8 inside the disk used to read "|z|=1.000000".
+    g = gram_coefficients(SCALAR)
+    monkeypatch.setattr(factorization, "outer_roots",
+                        lambda f: np.array([1.0 - 3e-8 + 0j]))
+    with pytest.raises(NoConvergence) as info:
+        bauer_factorize(g)
+    assert str(info.value).startswith("computed factor is not outer")
+    assert "1 - |z| = 3.000e-08" in str(info.value)
+    assert info.value.residual == pytest.approx(3e-8, rel=1e-6)
+
+
+def factor_defect(t, f):
+    """isometry_defect of the stacked pencil [F; T]: F^H F = I - T^H T."""
+    return isometry_defect(LinearPencil(np.vstack([f.f0, t.a0]),
+                                        np.vstack([f.f1, t.a1])))
+
+
 def test_verify_factorization_and_perturbation():
     f = bauer_factorize(gram_coefficients(SCALAR))
-    assert verify_factorization(SCALAR, f) <= 1e-9
+    assert isometry_defect(build_canonical(SCALAR, f).core) <= 1e-9
     bumped = FejerRieszFactor(f.f0 + 1e-3, f.f1)
-    assert verify_factorization(SCALAR, bumped) > 1e-4
+    assert factor_defect(SCALAR, bumped) > 1e-4
+    with pytest.raises(FactorMismatch, match="does not match the pencil defect"):
+        build_canonical(SCALAR, bumped)
 
 
 def test_verify_factorization_isometric_empty_factor():
     iso = LinearPencil(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     f = bauer_factorize(gram_coefficients(iso))
     assert f.dim_y == 0
-    assert verify_factorization(iso, f) <= 1e-12
+    assert isometry_defect(build_canonical(iso, f).core) <= 1e-12
 
 
 def test_outer_surrogate_examples():
@@ -217,7 +238,7 @@ def test_outer_surrogate_examples():
     # pointwise rank surrogate still passes; only the root check tells.
     f0, f1 = scalar_outer_oracle()
     swapped = FejerRieszFactor([[-f1]], [[-f0]])
-    assert verify_factorization(SCALAR, swapped) <= 1e-10
+    assert factor_defect(SCALAR, swapped) <= 1e-10
     assert outer_surrogate_check(swapped)
     roots = outer_roots(swapped)
     assert roots.size == 1 and abs(roots[0]) < 1.0
@@ -262,7 +283,7 @@ def test_left_unitary_gauge_invariance(scalar_chain):
     theta = 0.7
     w = np.array([[np.exp(1j * theta)]])
     gauged = FejerRieszFactor(w @ f.f0, w @ f.f1)
-    assert verify_factorization(SCALAR, gauged) <= 1e-9
+    assert factor_defect(SCALAR, gauged) <= 1e-9
     assert outer_surrogate_check(gauged)
     # gauge-invariant quantities: products F^H F and root moduli
     np.testing.assert_allclose(np.abs(outer_roots(gauged)),

@@ -7,7 +7,7 @@ from pencildil import (BuiltinExample, DimensionMismatch, KPlusVector,
                        LinearPencil, StructuredIsometricPencil, apply,
                        apply_adjoint, build_canonical, builtin_example,
                        check_dilation, check_minimality, check_uniform,
-                       coefficient_norms, core_isometry_defect)
+                       coefficient_norms, isometry_defect)
 from pencildil.isodil import dense_coefficient, dense_rect, window_dim
 from pencildil.linalg import spec_norm
 
@@ -37,7 +37,7 @@ def test_kplus_vector_trims_and_norms():
 def test_builtin_cores_are_isometric():
     for name in BuiltinExample:
         v = builtin_example(name)
-        assert core_isometry_defect(v) <= 1e-12
+        assert isometry_defect(v.core) <= 1e-12
 
 
 def test_shift_is_forward_shift():
@@ -197,7 +197,7 @@ def test_padded_dilation_is_not_minimal():
     core = LinearPencil([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
                         np.zeros((3, 2)))
     padded = StructuredIsometricPencil(dim_y=1, dim_h=2, core_depth=0, core=core)
-    assert core_isometry_defect(padded) <= 1e-15
+    assert isometry_defect(padded.core) <= 1e-15
     assert check_dilation(padded, ZERO, max_len=4).passed
     report = check_minimality(padded, ZERO, depth=4)
     assert not report.passed

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pencildil import (CapExceeded, LinearPencil, PencilKind, ShapeMismatch,
-                       classify, evaluate, symmetrized_multipower,
-                       unit_circle_grid)
+                       classify, evaluate, evaluate_all, isometry_defect,
+                       symmetrized_multipower, unit_circle_grid)
 from pencildil.isodil import BuiltinExample, builtin_example
-from pencildil.linalg import spec_norm
+from pencildil.linalg import adjoints, spec_norm, spec_norms
 from pencildil.words import Letters, levels, word_label
 
 
@@ -85,6 +88,61 @@ def test_classify_matches_pointwise_isometry():
             spec_norm(evaluate(p, lam).conj().T @ evaluate(p, lam) - eye) <= 3 * tol
             for lam in lams)
         assert algebraic == pointwise
+
+
+def _complex_array(shape):
+    return hnp.arrays(np.float64, shape + (2,),
+                      elements=st.floats(-2, 2, allow_nan=False)).map(
+        lambda a: a[..., 0] + 1j * a[..., 1])
+
+
+@st.composite
+def isometry_cases(draw):
+    """(pencil, kind): a general pencil, an exact isometry, or an isometry
+    moved by eps in 1e-9..1e-2.  An isometry a0 = U_1 B_1, a1 = U_2 B_2
+    splits a unitary U into column blocks with orthogonal ranges and an
+    isometry B into the matching row blocks, so a0^H a1 = 0 and
+    a0^H a0 + a1^H a1 = B^H B = I; it needs rows >= cols."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["general", "isometric", "perturbed"]))
+    if kind == "general":
+        return LinearPencil(draw(_complex_array((rows, cols))),
+                            draw(_complex_array((rows, cols)))), kind
+    cols = min(cols, rows)
+    u = np.linalg.qr(draw(_complex_array((rows, rows))))[0]
+    b = np.linalg.qr(draw(_complex_array((rows, cols))))[0]
+    k = draw(st.integers(0, rows))
+    a0, a1 = u[:, :k] @ b[:k], u[:, k:] @ b[k:]
+    if kind == "perturbed":
+        eps = 10.0 ** draw(st.floats(-9, -2))
+        a0 = a0 + eps * draw(_complex_array((rows, cols)))
+        a1 = a1 + eps * draw(_complex_array((rows, cols)))
+    return LinearPencil(a0, a1), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(isometry_cases())
+def test_isometry_defect_brackets_the_circle_maximum(case):
+    # With M the largest ||p(lam)^H p(lam) - I|| on the circle, the defect
+    # lies in [M, 3M].  The 256-point grid sees at least M cos(pi / 256)
+    # of a degree-1 trigonometric polynomial, so
+    # grid_max <= defect <= 3 grid_max / cos(pi / 256) up to round-off.
+    p, kind = case
+    values = evaluate_all(p, unit_circle_grid(256))
+    grid_max = spec_norms(adjoints(values) @ values - np.eye(p.shape[1])).max()
+    defect = isometry_defect(p)
+    slack = 1e-14 * (1.0 + spec_norm(p.a0) + spec_norm(p.a1)) ** 2
+    assert grid_max <= defect + slack
+    assert defect <= 3.0 * grid_max / math.cos(math.pi / 256) + slack
+    if kind == "isometric":
+        assert defect <= slack
+
+
+def test_isometry_defect_examples():
+    s = 1.0 / math.sqrt(2.0)
+    assert isometry_defect(LinearPencil([[s], [0.0]], [[0.0], [s]])) <= 1e-15
+    # scalar pencils attain the bound: |p(lam)|^2 - 1 = -0.66 + 0.3 cos(theta)
+    assert isometry_defect(LinearPencil([[0.5]], [[0.3]])) == pytest.approx(0.96)
 
 
 def test_word_expansion_reconstructs_powers():

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from pencildil import (BuiltinExample, FejerRieszFactor, KPlusVector, KVector,
-                       LinearPencil, NotIsometric, PencilKind,
-                       StructuredIsometricPencil, apply, apply_u,
+                       LinearPencil, NotIsometric, PencilKind, QPencil,
+                       StructuredIsometricPencil, UnitaryDilation, apply, apply_u,
                        apply_u_adjoint, assemble_theta, bauer_factorize,
                        build_canonical, build_unitary, canonical_chain,
                        check_biinner, check_minimality_unitary,
                        check_uniform_unitary, classify, coefficient_norms_unitary,
                        compression_tower, core_subspaces, gram_coefficients,
-                       verify_q_identities)
+                       q_identity_defect, unit_circle_grid)
 from pencildil.linalg import spec_norm
+from pencildil.unidil import q_identity_residuals
 from pencildil.verify import random_kvector
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
@@ -61,9 +62,20 @@ def test_dimension_law(all_chains):
 
 def test_q_identities(all_chains, scalar_chain):
     shift_chain = canonical_chain(ZERO)
-    assert verify_q_identities(shift_chain.v, shift_chain.q, 64).worst_residual <= 1e-12
+    assert q_identity_defect(shift_chain.u) <= 1e-12
     for chain in list(all_chains[:4]) + [scalar_chain]:
-        assert verify_q_identities(chain.v, chain.q, 64).passed
+        assert q_identity_defect(chain.u) <= 1e-9
+
+
+def test_q_identity_defect_bounds_the_pointwise_residuals(scalar_chain):
+    # Q moved by 1e-9 (still within QPencil's isometry cutoff): the
+    # coefficient bound must see what the grid sees, and at most 3x more.
+    u = scalar_chain.u
+    q = QPencil(u.q.q0, u.q.q1 + 1e-9)
+    bumped = UnitaryDilation(v=u.v, q=q, cores=u.cores)
+    grid_max = q_identity_residuals(u.v, q, unit_circle_grid(256)).max()
+    assert grid_max > 1e-10
+    assert grid_max <= q_identity_defect(bumped) <= 3 * grid_max / math.cos(math.pi / 256)
 
 
 def test_unitarity_on_random_vectors(all_chains):
