@@ -7,10 +7,9 @@ from .errors import (CapExceeded, ContainmentViolation, DimensionMismatch,
 from .factorization import (FejerRieszFactor, GramCoefficients,
                             bauer_factorize, gram_coefficients, outer_roots,
                             outer_surrogate_check)
-from .isodil import (BuiltinExample, KPlusVector, StructuredIsometricPencil,
-                     apply, apply_adjoint, build_canonical, builtin_example,
-                     check_dilation, check_minimality, check_uniform,
-                     coefficient_norms)
+from .isodil import (BuiltinExample, StructuredIsometricPencil,
+                     build_canonical, builtin_example, check_dilation,
+                     check_minimality, check_uniform, coefficient_norms)
 from .linalg import (DEFAULT_TOLERANCES, SubspaceBasis, ToleranceProfile,
                      numerical_rank, orthocomplement_within,
                      orthonormal_range, projector, psd_sqrt)
@@ -18,11 +17,11 @@ from .pencil import (LinearPencil, PencilClass, PencilKind, classify,
                      evaluate, evaluate_all, isometry_defect,
                      symmetrized_multipower, unit_circle_grid)
 from .reporting import Report
-from .unidil import (CoreSubspaces, KVector, QPencil, UnitaryDilation,
-                     apply_u, apply_u_adjoint, assemble_theta, build_q,
-                     build_unitary, check_biinner, check_minimality_unitary,
-                     check_uniform_unitary, coefficient_norms_unitary,
-                     compression_tower, core_subspaces, q_identity_defect)
+from .unidil import (CoreSubspaces, QPencil, UnitaryDilation, assemble_theta,
+                     build_q, build_unitary, check_biinner,
+                     check_minimality_unitary, check_uniform_unitary,
+                     coefficient_norms_unitary, compression_tower,
+                     core_subspaces, q_identity_defect)
 from .verify import (CanonicalChain, DemoName, canonical_chain,
                      classical_slice, demo, equivalence_falsifier,
                      run_pipeline, seeded_corpus, unitarity_report)

@@ -3,17 +3,17 @@
 A StructuredIsometricPencil is an "eventually-shift" operator: tail slots
 deeper than the core window shift one slot deeper, identically in the
 circle parameter, while a finite core block maps the window
-(slots -d..-1, head) into (slots -(d+1)..-1, head).  Vectors are finitely
-supported, so the action is evaluated exactly; nothing is discretized.
+(slots -d..-1, head) into (slots -(d+1)..-1, head).
 
 The canonical minimal isometric dilation of a contractive pencil T is the
 d = 0 instance whose core column stacks the outer defect factor F over T.
 
-Dense coordinates order a depth-t window deepest slot first:
+The window letters are the one description of how V acts.  A finitely
+supported vector is a column of a depth-t window array, deepest slot first:
 [slot -t | ... | slot -1 | head].  The coefficient matrices produced by
-``dense_coefficient`` drop content shifted past slot -t, so they agree
-with the exact action only while supports stay inside the window; the word
-checks size their windows so that never happens.
+``dense_coefficient`` drop content shifted past slot -t, so they give the
+exact action while supports stay strictly inside the window; every caller
+sizes its window so that nothing is dropped, and nothing is discretized.
 """
 
 from __future__ import annotations
@@ -27,124 +27,12 @@ import numpy as np
 from .errors import DimensionMismatch, FactorMismatch, ShapeMismatch
 from .factorization import FejerRieszFactor
 from .linalg import spec_norm
-from .pencil import LinearPencil, evaluate, isometry_defect
+from .pencil import LinearPencil, isometry_defect
 from .reporting import Report
 from .words import Letters, grouped_sums, span_rank, worst_word
 
 _FACTOR_TOL = 1e-8
 _RANK_TOL = 1e-8
-
-
-def _as_vector(a, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(a, dtype=complex).reshape(-1)
-    if v.shape[0] != dim:
-        raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {dim}")
-    return v
-
-
-@dataclass(frozen=True, eq=False)
-class KPlusVector:
-    """Finitely supported vector: Y-slots -1, -2, ... plus the head H-part.
-
-    ``tail[i]`` holds slot -(i+1).  Trailing all-zero slots are trimmed on
-    construction so support depth is canonical.
-    """
-
-    dim_y: int
-    dim_h: int
-    tail: tuple
-    head: np.ndarray
-
-    def __post_init__(self):
-        head = _as_vector(self.head, self.dim_h, "head")
-        slots = [_as_vector(s, self.dim_y, "tail slot") for s in self.tail]
-        while slots and not np.any(slots[-1]):
-            slots.pop()
-        object.__setattr__(self, "tail", tuple(slots))
-        object.__setattr__(self, "head", head)
-
-    @classmethod
-    def zero(cls, dim_y: int, dim_h: int) -> "KPlusVector":
-        return cls(dim_y, dim_h, (), np.zeros(dim_h))
-
-    @classmethod
-    def from_head(cls, head, dim_y: int) -> "KPlusVector":
-        head = np.asarray(head, dtype=complex).reshape(-1)
-        return cls(dim_y, head.shape[0], (), head)
-
-    @property
-    def depth(self) -> int:
-        return len(self.tail)
-
-    def slot(self, n: int) -> np.ndarray:
-        """Content of Y-slot n (n <= -1); zeros outside the support."""
-        if n >= 0:
-            raise ValueError("tail slots are indexed by negative integers")
-        i = -n - 1
-        if i < len(self.tail):
-            return self.tail[i]
-        return np.zeros(self.dim_y, dtype=complex)
-
-    def window(self, d: int) -> np.ndarray:
-        """Slots -d..-1 plus head, deepest first."""
-        parts = [self.slot(-n) for n in range(d, 0, -1)]
-        parts.append(self.head)
-        return np.concatenate(parts) if parts else self.head
-
-    def window_prime(self, d: int) -> np.ndarray:
-        """Slots -(d+1)..-1 plus head, deepest first."""
-        return self.window(d + 1)
-
-    def norm(self) -> float:
-        total = float(np.sum(np.abs(self.head) ** 2))
-        for s in self.tail:
-            total += float(np.sum(np.abs(s) ** 2))
-        return math.sqrt(total)
-
-    def vdot(self, other: "KPlusVector") -> complex:
-        """Inner product <self, other>, conjugate-linear in self."""
-        self._check_like(other)
-        acc = complex(np.vdot(self.head, other.head))
-        for n in range(1, max(self.depth, other.depth) + 1):
-            acc += complex(np.vdot(self.slot(-n), other.slot(-n)))
-        return acc
-
-    def to_dense(self, tail_depth: int) -> np.ndarray:
-        if self.depth > tail_depth:
-            raise DimensionMismatch(
-                f"support depth {self.depth} exceeds window depth {tail_depth}"
-            )
-        parts = [self.slot(-n) for n in range(tail_depth, 0, -1)]
-        parts.append(self.head)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_dense(cls, dense, dim_y: int, dim_h: int,
-                   tail_depth: int) -> "KPlusVector":
-        dense = np.asarray(dense, dtype=complex).reshape(-1)
-        if dense.shape[0] != tail_depth * dim_y + dim_h:
-            raise DimensionMismatch("dense window length mismatch")
-        slots = [dense[(tail_depth - n) * dim_y:(tail_depth - n + 1) * dim_y]
-                 for n in range(1, tail_depth + 1)]
-        return cls(dim_y, dim_h, tuple(slots), dense[tail_depth * dim_y:])
-
-    def _check_like(self, other: "KPlusVector"):
-        if self.dim_y != other.dim_y or self.dim_h != other.dim_h:
-            raise DimensionMismatch("vectors live in different spaces")
-
-    def __add__(self, other: "KPlusVector") -> "KPlusVector":
-        self._check_like(other)
-        depth = max(self.depth, other.depth)
-        tail = tuple(self.slot(-n) + other.slot(-n) for n in range(1, depth + 1))
-        return KPlusVector(self.dim_y, self.dim_h, tail, self.head + other.head)
-
-    def __sub__(self, other: "KPlusVector") -> "KPlusVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "KPlusVector":
-        return KPlusVector(self.dim_y, self.dim_h,
-                           tuple(scalar * s for s in self.tail),
-                           scalar * self.head)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +66,6 @@ class StructuredIsometricPencil:
     @property
     def window_prime_dim(self) -> int:
         return (self.core_depth + 1) * self.dim_y + self.dim_h
-
-    def zero_vector(self) -> KPlusVector:
-        return KPlusVector.zero(self.dim_y, self.dim_h)
 
 
 def build_canonical(t: LinearPencil,
@@ -232,36 +117,6 @@ def builtin_example(name) -> StructuredIsometricPencil:
     return StructuredIsometricPencil(1, 1, 2, LinearPencil(b0, b1))
 
 
-def apply(v: StructuredIsometricPencil, lam: complex,
-          x: KPlusVector) -> KPlusVector:
-    """Exact action of V(lam) on a finitely supported vector."""
-    _check_vector(v, x)
-    d = v.core_depth
-    e = evaluate(v.core, lam) @ x.window(d)
-    tail = [e[(d - i) * v.dim_y:(d - i + 1) * v.dim_y] for i in range(d + 1)]
-    for i in range(d, x.depth):
-        tail.append(x.tail[i])
-    return KPlusVector(v.dim_y, v.dim_h, tuple(tail), e[(d + 1) * v.dim_y:])
-
-
-def apply_adjoint(v: StructuredIsometricPencil, lam: complex,
-                  x: KPlusVector) -> KPlusVector:
-    """Exact action of V(lam)^* = V0^* + conj(lam) V1^*."""
-    _check_vector(v, x)
-    d = v.core_depth
-    core_adj = v.core.a0.conj().T + np.conj(lam) * v.core.a1.conj().T
-    w = core_adj @ x.window_prime(d)
-    tail = [w[(d - 1 - i) * v.dim_y:(d - i) * v.dim_y] for i in range(d)]
-    for i in range(d, x.depth - 1):
-        tail.append(x.tail[i + 1])
-    return KPlusVector(v.dim_y, v.dim_h, tuple(tail), w[d * v.dim_y:])
-
-
-def _check_vector(v: StructuredIsometricPencil, x: KPlusVector):
-    if x.dim_y != v.dim_y or x.dim_h != v.dim_h:
-        raise DimensionMismatch("vector does not match the pencil's spaces")
-
-
 def window_dim(v: StructuredIsometricPencil, tail_depth: int) -> int:
     return tail_depth * v.dim_y + v.dim_h
 
@@ -285,22 +140,6 @@ def dense_coefficient(v: StructuredIsometricPencil, j: int,
             m[0:k, v.dim_y:v.dim_y + k] = np.eye(k)
     coeff = v.core.a0 if j == 0 else v.core.a1
     m[dim - v.window_prime_dim:, dim - v.window_dim:] = coeff
-    return m
-
-
-def dense_rect(v: StructuredIsometricPencil, lam: complex,
-               tail_depth: int) -> np.ndarray:
-    """Exact matrix of V(lam) from a depth-t window into a depth-(t+1) one."""
-    d = v.core_depth
-    if tail_depth < d:
-        raise DimensionMismatch("window too shallow for the core block")
-    din = window_dim(v, tail_depth)
-    dout = window_dim(v, tail_depth + 1)
-    m = np.zeros((dout, din), dtype=complex)
-    k = (tail_depth - d) * v.dim_y
-    if k > 0:
-        m[0:k, 0:k] = np.eye(k)
-    m[dout - v.window_prime_dim:, din - v.window_dim:] = evaluate(v.core, lam)
     return m
 
 

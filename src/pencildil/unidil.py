@@ -9,6 +9,12 @@ future slot 1 through the isometric pencil Q(lam) = [P(lam)|K1, 0; 0, I_L]
 and shifting the remaining future slots down; it is unitary exactly when
 its square core block [C | Q] is.
 
+As for V, the window letters ``dense_u_coefficient`` are the one
+description of how U acts.  A vector of K is a column of a window array
+[slot -t | ... | slot -1 | head | future 1 | ... | future f] (f = 0 for
+K+), and ``words.act`` applies U0 + lam U1 or its adjoint to a whole block
+of such columns, one lambda per column.
+
 The block function theta(z) = [[F, P_Y Q], [T, P_H Q]] assembled from the
 canonical chain is linear, contractive on the disk and unitary on the
 circle; its corner blocks carry the density conditions checked (pointwise,
@@ -17,22 +23,20 @@ as a surrogate) by ``check_biinner``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotIsometric, PencilError
 from .factorization import FejerRieszFactor
-from .isodil import (KPlusVector, StructuredIsometricPencil, apply,
-                     apply_adjoint, dense_coefficient, window_dim)
+from .isodil import StructuredIsometricPencil, dense_coefficient, window_dim
 from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
                      orthonormal_range, projector, ranks, spec_norm,
                      spec_norms)
 from .pencil import (LinearPencil, evaluate_all, isometry_defect,
                      unit_circle_grid)
 from .reporting import Report
-from .words import Letters, span_rank, worst_word
+from .words import Letters, act, span_rank, worst_word
 
 _ISO_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -174,89 +178,6 @@ def build_unitary(v: StructuredIsometricPencil) -> UnitaryDilation:
     return UnitaryDilation(v=v, q=build_q(cores), cores=cores)
 
 
-@dataclass(frozen=True, eq=False)
-class KVector:
-    """Finitely supported vector of K+: head space plus future U-slots."""
-
-    kplus: KPlusVector
-    dim_u: int
-    future: tuple
-
-    def __post_init__(self):
-        slots = []
-        for s in self.future:
-            s = np.asarray(s, dtype=complex).reshape(-1)
-            if s.shape[0] != self.dim_u:
-                raise DimensionMismatch("future slot has wrong dimension")
-            slots.append(s)
-        while slots and not np.any(slots[-1]):
-            slots.pop()
-        object.__setattr__(self, "future", tuple(slots))
-
-    @classmethod
-    def from_kplus(cls, kplus: KPlusVector, dim_u: int) -> "KVector":
-        return cls(kplus, dim_u, ())
-
-    @property
-    def future_depth(self) -> int:
-        return len(self.future)
-
-    def future_slot(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("future slots are indexed from 1")
-        if n - 1 < len(self.future):
-            return self.future[n - 1]
-        return np.zeros(self.dim_u, dtype=complex)
-
-    def norm(self) -> float:
-        total = self.kplus.norm() ** 2
-        for s in self.future:
-            total += float(np.sum(np.abs(s) ** 2))
-        return math.sqrt(total)
-
-    def vdot(self, other: "KVector") -> complex:
-        acc = self.kplus.vdot(other.kplus)
-        for n in range(1, max(self.future_depth, other.future_depth) + 1):
-            acc += complex(np.vdot(self.future_slot(n), other.future_slot(n)))
-        return acc
-
-    def __add__(self, other: "KVector") -> "KVector":
-        depth = max(self.future_depth, other.future_depth)
-        future = tuple(self.future_slot(n) + other.future_slot(n)
-                       for n in range(1, depth + 1))
-        return KVector(self.kplus + other.kplus, self.dim_u, future)
-
-    def __sub__(self, other: "KVector") -> "KVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "KVector":
-        return KVector(scalar * self.kplus, self.dim_u,
-                       tuple(scalar * s for s in self.future))
-
-
-def _embed_window_prime(v: StructuredIsometricPencil, wp_vec) -> KPlusVector:
-    return KPlusVector.from_dense(wp_vec, v.dim_y, v.dim_h, v.core_depth + 1)
-
-
-def apply_u(u: UnitaryDilation, lam: complex, x: KVector) -> KVector:
-    """Exact action: (k, u1, u2, ...) -> (V(lam)k + Q(lam)u1, u2, ...)."""
-    kp = apply(u.v, lam, x.kplus)
-    if x.future:
-        kp = kp + _embed_window_prime(u.v, u.q(lam) @ x.future[0])
-    return KVector(kp, u.dim_u, x.future[1:])
-
-
-def apply_u_adjoint(u: UnitaryDilation, lam: complex, x: KVector) -> KVector:
-    """Exact action of U(lam)^* = U(lam)^{-1}.
-
-    The K+ part goes through V(lam)^*, its window content lands in future
-    slot 1 through Q(lam)^*, and existing future slots shift deeper.
-    """
-    kp = apply_adjoint(u.v, lam, x.kplus)
-    u_new = u.q(lam).conj().T @ x.kplus.window_prime(u.core_depth)
-    return KVector(kp, u.dim_u, (u_new,) + x.future)
-
-
 def coefficient_norms_unitary(u: UnitaryDilation) -> tuple[float, float]:
     """Operator norms of the coefficient operators (U0, U1) on all of K."""
     shift = 1.0 if (u.dim_y > 0 or u.dim_u > 0) else 0.0
@@ -301,7 +222,7 @@ def word_letters_unitary(u: UnitaryDilation, n_t: int, length: int) -> Letters:
     return Letters.embedded(ops, tail_depth * u.dim_y, n_t)
 
 
-def _worst_index(resid: np.ndarray, worst: float) -> int | None:
+def worst_index(resid: np.ndarray, worst: float) -> int | None:
     """First index of the largest residual if it exceeds ``worst``, else None:
     the witness a point-by-point scan with strict improvement would keep."""
     if resid.size:
@@ -367,9 +288,10 @@ def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
     The powers are built on the dense window of ``word_letters_unitary``,
     exact for words up to length max_n in the letters and in their
     adjoints.  One (dim, G * n_t) block holds a basis of H for every grid
-    point; each step applies U0 and U1 to the whole block, forward as
-    U0 + lam U1 and backward as U0^* + conj(lam) U1^* (U(lam)^{-1} =
-    U(lam)^* on the circle), so no per-lambda window matrix is formed.  The
+    point; each step applies U0 and U1 to the whole block with ``act``,
+    forward as U0 + lam U1 and backward as U0^* + conj(lam) U1^*
+    (U(lam)^{-1} = U(lam)^* on the circle), so no per-lambda window matrix
+    is formed.  The
     witness is the first (lam, n) in grid order, then n, with the largest
     residual.
     """
@@ -378,8 +300,6 @@ def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
         raise DimensionMismatch("pencil does not fit the dilation's head space")
     grid = unit_circle_grid(grid_size)
     letters = word_letters_unitary(u, n_t, max_n)
-    u0, u1 = letters.ops
-    u0_adj, u1_adj = u0.conj().T, u1.conj().T
     lam = np.repeat(grid, n_t)  # column g * n_t + j is basis vector j at grid[g]
     forward = backward = np.tile(letters.start, (1, grid_size))
     tv = evaluate_all(t, grid)
@@ -387,14 +307,14 @@ def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
     resid = np.zeros((grid_size, max_n))
     for n in range(1, max_n + 1):
         power = tv @ power
-        forward = u0 @ forward + lam * (u1 @ forward)
-        backward = u0_adj @ backward + np.conj(lam) * (u1_adj @ backward)
+        forward = act(letters.ops, lam, forward)
+        backward = act(letters.ops, lam, backward, adjoint=True)
         fwd, bwd = (x[letters.head].reshape(n_t, grid_size, n_t).swapaxes(0, 1)
                     for x in (forward, backward))
         resid[:, n - 1] = np.maximum(spec_norms(fwd - power),
                                      spec_norms(bwd - adjoints(power)))
     worst, witness = 0.0, None
-    k = _worst_index(resid.ravel(), worst)
+    k = worst_index(resid.ravel(), worst)
     if k is not None:
         g, n = divmod(k, max_n)
         worst = resid[g, n]
@@ -447,13 +367,6 @@ def assemble_theta(t: LinearPencil, f: FejerRieszFactor,
     return LinearPencil(theta0, theta1)
 
 
-def interior_samples(count: int) -> np.ndarray:
-    """Deterministic sample points in the open unit disk."""
-    radii = np.array([0.15, 0.45, 0.75, 0.95])
-    k = np.arange(count)
-    return radii[k % 4] * np.exp(2j * np.pi * k / count)
-
-
 def theta_boundary_residuals(theta: LinearPencil, lams) -> np.ndarray:
     """||theta(lam)^H theta(lam) - I|| at each lam (boundary isometry)."""
     values = evaluate_all(theta, lams)
@@ -461,14 +374,18 @@ def theta_boundary_residuals(theta: LinearPencil, lams) -> np.ndarray:
 
 
 def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
-                  grid_size: int = 64, disk_samples: int = 32,
-                  tol: float = 1e-9, rank_tol: float = _RANK_TOL) -> Report:
+                  grid_size: int = 64, tol: float = 1e-9,
+                  rank_tol: float = _RANK_TOL) -> Report:
     """Boundary unitarity, disk contractivity and pointwise density ranks.
 
     Boundary unitarity of the square theta is its ``isometry_defect``, a
-    bound for the whole circle.  The rank conditions on the corner blocks
-    stand in for the L^2 density conditions; full pointwise rank on the
-    grid is reported as a surrogate, not a certificate.
+    bound for the whole circle.  That bound also settles contractivity on
+    the disk: theta is a polynomial, so by the maximum principle
+    ||theta(z)|| <= sqrt(1 + defect) <= 1 + defect/2 for |z| <= 1, and no
+    interior point can exceed the boundary residual; nothing is sampled
+    inside.  The rank conditions on the corner blocks stand in for the L^2
+    density conditions; full pointwise rank on the grid is reported as a
+    surrogate, not a certificate.
     """
     rows, cols = theta.shape
     if rows != dim_y + dim_h or cols != dim_h + dim_u:
@@ -479,12 +396,6 @@ def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
     values = evaluate_all(theta, grid)
     rank_ok = bool(np.all(ranks(values[:, :dim_y, :dim_h], rank_tol) == dim_y)
                    and np.all(ranks(values[:, dim_y:, dim_h:], rank_tol) == dim_u))
-    samples = interior_samples(disk_samples)
-    excess = np.maximum(0.0, spec_norms(evaluate_all(theta, samples)) - 1.0)
-    k = _worst_index(excess, worst)
-    if k is not None:
-        worst, witness = excess[k], {"where": "interior",
-                                     "z": [samples[k].real, samples[k].imag]}
     if not rank_ok:
         worst = max(worst, 1.0)
         witness = {"where": "density-surrogate"}

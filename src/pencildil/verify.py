@@ -20,21 +20,20 @@ from .errors import NotADilation, NotContractive
 from .factorization import (FejerRieszFactor, GramCoefficients,
                             bauer_factorize, gram_coefficients,
                             outer_surrogate_check)
-from .isodil import (BuiltinExample, KPlusVector, StructuredIsometricPencil,
-                     apply, build_canonical, builtin_example, check_dilation,
+from .isodil import (BuiltinExample, StructuredIsometricPencil,
+                     build_canonical, builtin_example, check_dilation,
                      check_minimality, check_uniform, coefficient_norms,
-                     word_letters)
+                     dense_coefficient, window_dim, word_letters)
 from .linalg import spec_norm, spec_norms
 from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate_all,
                      isometry_defect, unit_circle_grid)
 from .reporting import Report
-from .unidil import (KVector, QPencil, UnitaryDilation, apply_u,
-                     apply_u_adjoint, assemble_theta, build_q, build_unitary,
-                     check_biinner, check_minimality_unitary,
+from .unidil import (QPencil, UnitaryDilation, assemble_theta, build_q,
+                     build_unitary, check_biinner, check_minimality_unitary,
                      check_uniform_unitary, coefficient_norms_unitary,
-                     compression_tower, core_subspaces, q_identity_defect,
-                     word_letters_unitary)
-from .words import Letters, first_difference
+                     compression_tower, core_subspaces, dense_u_coefficient,
+                     q_identity_defect, word_letters_unitary, worst_index)
+from .words import Letters, act, first_difference
 
 CORPUS_SEED = 20240601
 
@@ -91,34 +90,70 @@ def canonical_chain(t: LinearPencil,
     return CanonicalChain(pencil=t, gram=g, factor=f, v=v, q=q, u=u, theta=theta)
 
 
-def random_kvector(rng: np.random.Generator, u: UnitaryDilation,
-                   tail_depth: int = 3, future_depth: int = 2) -> KVector:
-    """Random finitely supported vector of K (complex standard normal)."""
-    tail = tuple(rng.standard_normal(u.dim_y) + 1j * rng.standard_normal(u.dim_y)
-                 for _ in range(tail_depth))
-    head = rng.standard_normal(u.dim_h) + 1j * rng.standard_normal(u.dim_h)
-    future = tuple(rng.standard_normal(u.dim_u) + 1j * rng.standard_normal(u.dim_u)
-                   for _ in range(future_depth))
-    return KVector(KPlusVector(u.dim_y, u.dim_h, tail, head), u.dim_u, future)
+def _random_window(rng: np.random.Generator, u: UnitaryDilation, count: int,
+                   future: int = 2) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``count`` random supported vectors of K as window columns, a lambda each.
+
+    Vector i fills tail slots -1..-3, the head and future slots 1..future
+    with complex standard normals, drawn in that order and followed by its
+    lambda.  The window has tail depth 3 + core_depth + 2 and future depth
+    future + 2, so the letters act exactly for one step forward and one
+    back, in either order.  Returns the block, the lambdas and the two
+    window depths.
+    """
+    tail = 3
+    t, f = tail + u.core_depth + 2, future + 2
+    dy, du = u.dim_y, u.dim_u
+    kdim = window_dim(u.v, t)
+    x = np.zeros((kdim + f * du, count), dtype=complex)
+    lam = np.zeros(count, dtype=complex)
+
+    def normal(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    for i in range(count):
+        for n in range(1, tail + 1):  # slot -n
+            x[(t - n) * dy:(t - n + 1) * dy, i] = normal(dy)
+        x[t * dy:kdim, i] = normal(u.dim_h)
+        for n in range(future):  # future slot n + 1
+            x[kdim + n * du:kdim + (n + 1) * du, i] = normal(du)
+        lam[i] = np.exp(2j * np.pi * rng.uniform())
+    return x, lam, t, f
+
+
+def _u_letters(u: UnitaryDilation, tail_depth: int, future_depth: int) -> tuple:
+    return tuple(dense_u_coefficient(u, j, tail_depth, future_depth) for j in (0, 1))
+
+
+def _worst_column(block: np.ndarray) -> float:
+    """Largest column norm of a block (0 for a block without columns)."""
+    return float(np.linalg.norm(block, axis=0).max(initial=0.0))
 
 
 def unitarity_report(u: UnitaryDilation, count: int = 50,
                      seed: int = CORPUS_SEED, tol: float = 1e-10) -> Report:
-    """Norm preservation and two-sided inverse on random supported vectors."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
-    for i in range(count):
-        x = random_kvector(rng, u)
-        lam = complex(np.exp(2j * np.pi * rng.uniform()))
-        ux = apply_u(u, lam, x)
-        back = apply_u_adjoint(u, lam, ux)
-        forth = apply_u(u, lam, apply_u_adjoint(u, lam, x))
-        resid = max(abs(ux.norm() - x.norm()), (back - x).norm(), (forth - x).norm())
-        if resid > worst:
-            worst = resid
-            witness = {"sample": i, "lambda": [lam.real, lam.imag]}
-    return Report.from_residual("unitarity", worst, tol, witness)
+    """Norm preservation and two-sided inverse on random supported vectors.
+
+    The ``count`` vectors are the columns of one window block, each with its
+    own lambda, and U and U^* act on the whole block at once.  A column's
+    residual is the largest of | ||Ux|| - ||x|| |, ||U^*Ux - x|| and
+    ||UU^*x - x||; the witness is the first sample with the largest one.
+    """
+    x, lam, t, f = _random_window(np.random.default_rng(seed), u, count)
+    ops = _u_letters(u, t, f)
+    ux = act(ops, lam, x)
+    back = act(ops, lam, ux, adjoint=True)
+    forth = act(ops, lam, act(ops, lam, x, adjoint=True))
+    resid = np.maximum.reduce([
+        np.abs(np.linalg.norm(ux, axis=0) - np.linalg.norm(x, axis=0)),
+        np.linalg.norm(back - x, axis=0),
+        np.linalg.norm(forth - x, axis=0),
+    ])
+    k = worst_index(resid, 0.0)
+    if k is None:
+        return Report.from_residual("unitarity", 0.0, tol)
+    witness = {"sample": k, "lambda": [float(lam[k].real), float(lam[k].imag)]}
+    return Report.from_residual("unitarity", resid[k], tol, witness)
 
 
 def run_pipeline(t: LinearPencil, depth: int = 4,
@@ -174,7 +209,7 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
         witness={"dimU": chain.u.dim_u, "dimY": chain.factor.dim_y},
     ))
     reports.append(check_biinner(chain.theta, chain.factor.dim_y, t.shape[0],
-                                 chain.u.dim_u, grid_size=64, disk_samples=32,
+                                 chain.u.dim_u, grid_size=64,
                                  rank_tol=rank_tol))
     return reports
 
@@ -284,10 +319,6 @@ def _zero_pencil() -> LinearPencil:
     return LinearPencil([[0.0]], [[0.0]])
 
 
-def _head_vector(dim_y: int = 1) -> KPlusVector:
-    return KPlusVector.from_head([1.0], dim_y)
-
-
 def _demo_sz_nagy_scalar() -> list[Report]:
     t = LinearPencil([[0.5]], [[0.0]])
     chain = canonical_chain(t)
@@ -310,19 +341,23 @@ def _shift_chain() -> CanonicalChain:
     return canonical_chain(_zero_pencil())
 
 
+def _demo_columns(dim: int, row: int) -> np.ndarray:
+    """The unit window vector e_row once per demo lambda, as a block."""
+    e = np.zeros((dim, len(_DEMO_LAMBDAS)), dtype=complex)
+    e[row] = 1.0
+    return e
+
+
 def _demo_two_sided_shift() -> list[Report]:
     t = _zero_pencil()
     chain = _shift_chain()
     u = chain.u
-    resid = 0.0
-    e_head = KVector.from_kplus(_head_vector(), u.dim_u)
-    e_minus1 = KVector.from_kplus(
-        KPlusVector(1, 1, (np.array([1.0]),), np.array([0.0])), u.dim_u)
-    e_fut1 = KVector(KPlusVector.zero(1, 1), u.dim_u, (np.array([1.0]),))
-    for lam in _DEMO_LAMBDAS:
-        resid = max(resid, (apply_u(u, lam, e_head) - e_minus1).norm())
-        resid = max(resid, (apply_u(u, lam, e_fut1) - e_head).norm())
-        resid = max(resid, (apply_u_adjoint(u, lam, e_head) - e_fut1).norm())
+    ops = _u_letters(u, 2, 2)  # [slot -2 | slot -1 | head | future 1 | future 2]
+    lam = np.array(_DEMO_LAMBDAS)
+    e_minus1, e_head, e_fut1 = (_demo_columns(5, row) for row in (1, 2, 3))
+    resid = max(_worst_column(act(ops, lam, e_head) - e_minus1),
+                _worst_column(act(ops, lam, e_fut1) - e_head),
+                _worst_column(act(ops, lam, e_head, adjoint=True) - e_fut1))
     n0, n1 = coefficient_norms_unitary(u)
     out = [
         Report.from_residual("two-sided-shift/bilateral-pattern", resid, 1e-12),
@@ -339,12 +374,14 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
     v = builtin_example(BuiltinExample.LAMBDA_SHIFT)
     u = build_unitary(v)
     classical = _shift_chain().u
-    rng = np.random.default_rng(CORPUS_SEED)
-    ext = 0.0
-    for _ in range(10):
-        x = random_kvector(rng, u, tail_depth=3, future_depth=0)
-        lam = complex(np.exp(2j * np.pi * rng.uniform()))
-        ext = max(ext, (apply_u(u, lam, x).kplus - apply(v, lam, x.kplus)).norm())
+    # U restricted to K+ is V: compare on ten random vectors of K+
+    x, lam, depth, future = _random_window(np.random.default_rng(CORPUS_SEED),
+                                           u, 10, future=0)
+    kdim = window_dim(v, depth)
+    v_ops = tuple(dense_coefficient(v, j, depth) for j in (0, 1))
+    expected = np.zeros_like(x)
+    expected[:kdim] = act(v_ops, lam, x[:kdim])
+    ext = _worst_column(act(_u_letters(u, depth, future), lam, x) - expected)
     n0, n1 = coefficient_norms_unitary(u)
     falsify = equivalence_falsifier(u, classical, t, depth=3)
     witness = falsify.witness or {}
@@ -368,21 +405,21 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
 def _demo_non_uniform_iso() -> list[Report]:
     t = _zero_pencil()
     v = builtin_example(BuiltinExample.NON_UNIFORM_V)
-    h = _head_vector()
-    resid = 0.0
-    for lam in _DEMO_LAMBDAS:
-        x = apply(v, lam, h)
-        expected1 = KPlusVector(1, 1, (np.array([1 / math.sqrt(2)]),
-                                       np.array([lam / math.sqrt(2)])),
-                                np.array([0.0]))
-        resid = max(resid, (x - expected1).norm())
-        for n in range(2, 6):
-            x = apply(v, lam, x)
-            tail = [np.array([0.0])] * n + [np.array([lam])]
-            expected_n = KPlusVector(1, 1, tuple(tail), np.array([0.0]))
-            resid = max(resid, (x - expected_n).norm())
-    witness_vec = apply(v, -1.0, apply(v, 1.0, h))
-    witness_resid = abs(witness_vec.head[0] + 1.0) + abs(witness_vec.norm() - 1.0)
+    letters = word_letters(v, 1, 5)  # tail depth 8: slot -n is row head - n
+    head = letters.head.start
+    lam = np.array(_DEMO_LAMBDAS)
+    x = act(letters.ops, lam, _demo_columns(head + 1, head))
+    expected = np.zeros_like(x)
+    expected[head - 1] = 1 / math.sqrt(2)
+    expected[head - 2] = lam / math.sqrt(2)
+    resid = _worst_column(x - expected)
+    for n in range(2, 6):
+        x = act(letters.ops, lam, x)
+        expected = np.zeros_like(x)
+        expected[head - (n + 1)] = lam
+        resid = max(resid, _worst_column(x - expected))
+    w = act(letters.ops, -1.0, act(letters.ops, 1.0, letters.start))
+    witness_resid = abs(w[head, 0] + 1.0) + abs(np.linalg.norm(w) - 1.0)
     uniform = check_uniform(v, t, max_len=6)
     falsify = equivalence_falsifier(v, builtin_example(BuiltinExample.SHIFT),
                                     t, depth=3)
@@ -409,16 +446,17 @@ def _demo_non_uniform_uni() -> list[Report]:
     v = builtin_example(BuiltinExample.NON_UNIFORM_V)
     u = build_unitary(v)
     s = 1.0 / math.sqrt(2.0)
-    resid = 0.0
-    e_fut1 = KVector(KPlusVector.zero(1, 1), u.dim_u, (np.array([1.0]),))
-    for lam in _DEMO_LAMBDAS:
-        got = apply_u(u, lam, e_fut1)
-        expected = KVector(KPlusVector(1, 1, (np.array([-s]), np.array([lam * s])),
-                                       np.array([0.0])), u.dim_u, ())
-        resid = max(resid, (got - expected).norm())
-    h = KVector.from_kplus(_head_vector(), u.dim_u)
-    w = apply_u(u, -1.0, apply_u(u, 1.0, h))
-    witness_resid = abs(w.kplus.head[0] + 1.0) + abs(w.norm() - 1.0)
+    # tail depth 5, future depth 3: slot -n is row head - n, future n row head + n
+    letters = word_letters_unitary(u, 1, 2)
+    head = letters.head.start
+    lam = np.array(_DEMO_LAMBDAS)
+    got = act(letters.ops, lam, _demo_columns(letters.start.shape[0], head + 1))
+    expected = np.zeros_like(got)
+    expected[head - 1] = -s
+    expected[head - 2] = lam * s
+    resid = _worst_column(got - expected)
+    w = act(letters.ops, -1.0, act(letters.ops, 1.0, letters.start))
+    witness_resid = abs(w[head, 0] + 1.0) + abs(np.linalg.norm(w) - 1.0)
     uniform = check_uniform_unitary(u, t, max_len=4)
     classical = _shift_chain().u
     lambda_u = build_unitary(builtin_example(BuiltinExample.LAMBDA_SHIFT))

@@ -46,6 +46,19 @@ class Letters:
         return Letters(self.ops + adjoints, self.start, self.head)
 
 
+def act(ops, lam, block: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """(A0 + lam A1) block, or (A0^* + conj(lam) A1^*) block if ``adjoint``.
+
+    ``ops`` is a letter pair on a window and ``lam`` a scalar or one circle
+    parameter per column of ``block``, so one call moves a whole block of
+    window vectors, each at its own lambda.
+    """
+    a0, a1 = ops
+    if adjoint:
+        return a0.conj().T @ block + np.conj(lam) * (a1.conj().T @ block)
+    return a0 @ block + lam * (a1 @ block)
+
+
 def levels(letters: Letters, max_len: int) -> Iterator[np.ndarray]:
     """Head rows of the words of each length 1..max_len, shape (W, head, n).
 

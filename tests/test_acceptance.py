@@ -9,8 +9,10 @@ import math
 import numpy as np
 
 import pencildil as pd
+from pencildil.isodil import dense_coefficient
 from pencildil.linalg import spec_norm
-from pencildil.verify import random_kvector
+from pencildil.unidil import dense_u_coefficient
+from pencildil.words import act
 
 ZERO = pd.LinearPencil([[0.0]], [[0.0]])
 S2 = 1.0 / math.sqrt(2.0)
@@ -55,20 +57,22 @@ def test_criterion_2_isometric_dilation(corpus, all_chains):
 
 def test_criterion_3_nonuniform_example_reproduction():
     v = pd.builtin_example(pd.BuiltinExample.NON_UNIFORM_V)
-    h = pd.KPlusVector.from_head([1.0], 1)
+    # window [slot -8 | ... | slot -1 | head]: slot -n is entry 8 - n
+    ops = tuple(dense_coefficient(v, j, 8) for j in (0, 1))
+    h = np.eye(9)[:, 8]
     worst = 0.0
     for lam in (1.0, -1.0, 1j, complex(np.exp(1.3j))):
-        x = pd.apply(v, lam, h)
-        worst = max(worst, abs(x.slot(-1)[0] - S2), abs(x.slot(-2)[0] - lam * S2),
-                    abs(x.head[0]), float(x.depth != 2))
+        x = act(ops, lam, h)
+        worst = max(worst, abs(x[7] - S2), abs(x[6] - lam * S2), abs(x[8]),
+                    float(np.any(x[:6])))
         for n in range(2, 6):
-            x = pd.apply(v, lam, x)
+            x = act(ops, lam, x)
             expected = np.zeros(n + 1, dtype=complex)
             expected[n] = lam
-            got = np.array([x.slot(-(i + 1))[0] for i in range(n + 1)])
-            worst = max(worst, float(np.abs(got - expected).max()), abs(x.head[0]))
-    w = pd.apply(v, -1.0, pd.apply(v, 1.0, h))
-    worst = max(worst, abs(w.head[0] + 1.0), abs(w.norm() - 1.0))
+            got = x[8 - (n + 1):8][::-1]  # slots -1..-(n+1)
+            worst = max(worst, float(np.abs(got - expected).max()), abs(x[8]))
+    w = act(ops, -1.0, act(ops, 1.0, h))
+    worst = max(worst, abs(w[8] + 1.0), abs(np.linalg.norm(w) - 1.0))
     not_uniform = not pd.check_uniform(v, ZERO, max_len=6).passed
     shift_uniform = pd.check_uniform(
         pd.builtin_example(pd.BuiltinExample.SHIFT), ZERO, max_len=6).passed
@@ -137,16 +141,15 @@ def test_criterion_8_classical_reductions(corpus):
                            spec_norm(chain.q.q1),
                            coefficient_norm_1(chain.u))
     shift = pd.canonical_chain(ZERO)
-    e_head = pd.KVector.from_kplus(pd.KPlusVector.from_head([1.0], 1), 1)
-    e_minus1 = pd.KVector.from_kplus(
-        pd.KPlusVector(1, 1, (np.array([1.0]),), np.array([0.0])), 1)
-    e_fut1 = pd.KVector(pd.KPlusVector.zero(1, 1), 1, (np.array([1.0]),))
+    # window [slot -2 | slot -1 | head | future 1 | future 2]
+    ops = tuple(dense_u_coefficient(shift.u, j, 2, 2) for j in (0, 1))
+    e_minus1, e_head, e_fut1 = np.eye(5)[:, 1], np.eye(5)[:, 2], np.eye(5)[:, 3]
     shift_exact = True
     for lam in (1.0, 1j, -1.0):
         shift_exact = shift_exact and \
-            (pd.apply_u(shift.u, lam, e_head) - e_minus1).norm() == 0.0 and \
-            (pd.apply_u(shift.u, lam, e_fut1) - e_head).norm() == 0.0 and \
-            (pd.apply_u_adjoint(shift.u, lam, e_head) - e_fut1).norm() == 0.0
+            np.array_equal(act(ops, lam, e_head), e_minus1) and \
+            np.array_equal(act(ops, lam, e_fut1), e_head) and \
+            np.array_equal(act(ops, lam, e_head, adjoint=True), e_fut1)
     ok = (worst_f1 <= 1e-12 and worst_defect <= 1e-10
           and worst_lambda <= 1e-12 and shift_exact)
     _record(8, "constant-coefficient slice reduces to the classical chain", ok,
@@ -166,10 +169,11 @@ def test_criterion_9_unitary_examples_and_falsifiers():
     # construction extends the lambda-shift exactly
     n0, n1 = pd.coefficient_norms_unitary(u_prime)
     pattern_ok = abs(n1 - 1.0) <= 1e-12 and abs(n0 - 1.0) <= 1e-12
-    h = pd.KVector.from_kplus(pd.KPlusVector.from_head([1.0], 1), 1)
+    # window [slot -2 | slot -1 | head | future 1 | future 2]
+    ops = tuple(dense_u_coefficient(u_prime, j, 2, 2) for j in (0, 1))
     for lam in (1j, -1.0):
-        out = pd.apply_u(u_prime, lam, h)
-        pattern_ok = pattern_ok and abs(out.kplus.slot(-1)[0] - lam) <= 1e-15
+        out = act(ops, lam, np.eye(5)[:, 2])
+        pattern_ok = pattern_ok and abs(out[1] - lam) <= 1e-15
     rep1 = pd.equivalence_falsifier(classical, u_prime, ZERO, depth=3)
     w1 = rep1.witness
     fals1_ok = (w1["verdict"] == "NOT_EQUIVALENT"
@@ -193,8 +197,9 @@ def test_criterion_10_biinner_theta(all_chains):
     for chain in all_chains:
         rep = pd.check_biinner(chain.theta, chain.factor.dim_y,
                                chain.pencil.shape[0], chain.u.dim_u,
-                               grid_size=64, disk_samples=32, tol=1e-9)
+                               grid_size=64, tol=1e-9)
         ok = ok and rep.passed
         worst = max(worst, rep.worst_residual)
-    _record(10, "theta unitary on the whole circle, contractive inside, "
+    _record(10, "theta unitary on the whole circle (contractive inside by the "
+                "maximum principle), "
                 "density rank surrogates", ok, f"worst residual {worst:.2e}")

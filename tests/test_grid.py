@@ -4,9 +4,10 @@ Each reference below evaluates one lambda at a time, as the checks did
 before the grids were stacked.  Classification, factorization, the outer
 surrogate and the biinner report must agree exactly: the batched LAPACK
 calls see the same matrices (isometry and theta's boundary unitarity are
-decided on the coefficients by ``isometry_defect`` in both).  The Q identities and the compression tower
-are computed on smaller (exactly equivalent) matrices and agree to
-round-off.
+decided on the coefficients by ``isometry_defect`` in both).  The Q
+identities and the compression tower are computed on smaller (exactly
+equivalent) matrices and agree to round-off; their references act slot by
+slot through ``slot_oracle``, never through the window letters.
 """
 
 import math
@@ -15,18 +16,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pencildil import (GramCoefficients, KPlusVector, KVector, LinearPencil,
-                       NotPSD, Report, apply_u, apply_u_adjoint,
+from pencildil import (GramCoefficients, LinearPencil, NotPSD, Report,
                        bauer_factorize, canonical_chain, check_biinner,
                        classify, compression_tower, evaluate_all,
                        isometry_defect, outer_surrogate_check, run_pipeline,
                        seeded_corpus)
 from pencildil.factorization import factorization_residuals
-from pencildil.isodil import dense_rect, window_dim
+from pencildil.isodil import window_dim
 from pencildil.linalg import numerical_rank, ranks, spec_norm, spec_norms
 from pencildil.pencil import PencilClass, PencilKind, evaluate, unit_circle_grid
-from pencildil.unidil import (interior_samples, q_identity_residuals,
-                              theta_boundary_residuals)
+from pencildil.unidil import q_identity_residuals, theta_boundary_residuals
+from slot_oracle import column, u_act, u_adjoint, v_act
 
 ROUND_OFF = 1e-15
 
@@ -113,8 +113,8 @@ def loop_outer_surrogate(f, grid_size=256, tol=1e-10):
                for lam in unit_circle_grid(grid_size))
 
 
-def loop_biinner(theta, dim_y, dim_h, dim_u, grid_size=64, disk_samples=32,
-                 tol=1e-9, rank_tol=1e-8):
+def loop_biinner(theta, dim_y, dim_h, dim_u, grid_size=64, tol=1e-9,
+                 rank_tol=1e-8):
     worst, witness, rank_ok = 0.0, None, True
     boundary = isometry_defect(theta)  # decided on the coefficients
     if boundary > worst:
@@ -125,14 +125,29 @@ def loop_biinner(theta, dim_y, dim_h, dim_u, grid_size=64, disk_samples=32,
             rank_ok = False
         if numerical_rank(val[dim_y:, dim_h:], rank_tol) != dim_u:
             rank_ok = False
-    for z in interior_samples(disk_samples):
-        excess = max(0.0, spec_norm(evaluate(theta, z)) - 1.0)
-        if excess > worst:
-            worst, witness = excess, {"where": "interior", "z": [z.real, z.imag]}
     if not rank_ok:
         worst, witness = max(worst, 1.0), {"where": "density-surrogate"}
     details = [{"density_check": "pointwise rank surrogate", "passed": rank_ok}]
     return Report.from_residual("theta-biinner", worst, tol, witness, details)
+
+
+def disk_samples(count=32):
+    """Deterministic points of the open unit disk: four radii, count angles."""
+    radii = np.array([0.15, 0.45, 0.75, 0.95])
+    k = np.arange(count)
+    return radii[k % 4] * np.exp(2j * np.pi * k / count)
+
+
+def oracle_rect(v, lam, t):
+    """Exact matrix of V(lam) from a depth-t window into a depth-(t+1) one,
+    one column per basis vector, from the slot-by-slot oracle."""
+    basis = np.eye(window_dim(v, t))
+    cols = []
+    for e in basis:
+        tail = [e[(t - 1 - i) * v.dim_y:(t - i) * v.dim_y] for i in range(t)]
+        cols.append(column(v_act(v, lam, tail, e[t * v.dim_y:]) + ([],),
+                           v.dim_y, t + 1))
+    return np.stack(cols, axis=1) if cols else np.zeros((window_dim(v, t + 1), 0))
 
 
 def loop_q_residuals(v, q, lams):
@@ -144,7 +159,7 @@ def loop_q_residuals(v, q, lams):
     embed[dout - din:, :] = np.eye(din)
     out = []
     for lam in lams:
-        vt = dense_rect(v, lam, t)
+        vt = oracle_rect(v, lam, t)
         qs = q(lam)
         qq = np.zeros((dout, din), dtype=complex)
         qq[dout - wp:, din - wp:] = qs @ qs.conj().T
@@ -156,11 +171,9 @@ def loop_q_residuals(v, q, lams):
 
 
 def loop_tower_worst(u, t, max_n=6, grid_size=32):
-    """Largest tower residual from the exact structured actions."""
+    """Largest tower residual from the slot-by-slot oracle."""
     n_t = t.shape[0]
-    basis = [KVector.from_kplus(
-        KPlusVector(u.dim_y, u.dim_h, (), np.eye(u.dim_h)[:, j]), u.dim_u)
-        for j in range(n_t)]
+    basis = [([], np.eye(u.dim_h)[:, j], []) for j in range(n_t)]
     worst = 0.0
     for lam in unit_circle_grid(grid_size):
         tv = evaluate(t, lam)
@@ -168,10 +181,10 @@ def loop_tower_worst(u, t, max_n=6, grid_size=32):
         forward, backward = list(basis), list(basis)
         for _ in range(max_n):
             power = tv @ power
-            forward = [apply_u(u, lam, x) for x in forward]
-            backward = [apply_u_adjoint(u, lam, x) for x in backward]
-            fwd = np.stack([x.kplus.head[:n_t] for x in forward], axis=1)
-            bwd = np.stack([x.kplus.head[:n_t] for x in backward], axis=1)
+            forward = [u_act(u, lam, x) for x in forward]
+            backward = [u_adjoint(u, lam, x) for x in backward]
+            fwd = np.stack([x[1][:n_t] for x in forward], axis=1)
+            bwd = np.stack([x[1][:n_t] for x in backward], axis=1)
             worst = max(worst, spec_norm(fwd - power),
                         spec_norm(bwd - power.conj().T))
     return worst
@@ -238,7 +251,7 @@ def test_biinner_matches_loop(chains):
     rng = np.random.default_rng(3)
     a0, a1 = (rng.standard_normal((3, 4)) for _ in range(2))
     thetas.append((LinearPencil(a0, a1), 1, 2, 2))  # non-square, fails the checks
-    thetas.append((LinearPencil(0.3 * a0, 0.3 * a1), 1, 2, 2))  # interior passes
+    thetas.append((LinearPencil(0.3 * a0, 0.3 * a1), 1, 2, 2))  # contractive, fails on the boundary
     a0[:1, :2] = 0.0
     a1[:1, :2] = 0.0
     thetas.append((LinearPencil(a0, a1), 1, 2, 2))  # rank-deficient corner
@@ -250,6 +263,17 @@ def test_biinner_matches_loop(chains):
         assert boundary.shape == (64,)
     wheres = {check_biinner(*args).witness["where"] for args in thetas[-3:]}
     assert wheres == {"boundary", "density-surrogate"}
+
+
+def test_disk_interior_never_exceeds_half_the_boundary_defect(chains):
+    # Maximum principle: ||theta(z)|| <= sqrt(1 + defect) <= 1 + defect/2
+    # on the closed disk, so the interior can never beat the boundary residual.
+    thetas = [c.theta for c in chains] + [
+        canonical_chain(LinearPencil([[a0]], [[a1]])).theta
+        for a0, a1 in ((0.5, 0.3), (0.0, 0.0), (0.5, 0.5))]
+    for theta in thetas:
+        excess = spec_norms(evaluate_all(theta, disk_samples())) - 1.0
+        assert excess.max() <= isometry_defect(theta) / 2 + 1e-14
 
 
 def test_q_identity_residuals_match_window_loop(chains):

@@ -3,35 +3,54 @@ import math
 import numpy as np
 import pytest
 
-from pencildil import (BuiltinExample, DimensionMismatch, KPlusVector,
-                       LinearPencil, StructuredIsometricPencil, apply,
-                       apply_adjoint, build_canonical, builtin_example,
-                       check_dilation, check_minimality, check_uniform,
-                       coefficient_norms, isometry_defect)
-from pencildil.isodil import dense_coefficient, dense_rect, window_dim
+from pencildil import (BuiltinExample, DimensionMismatch, LinearPencil,
+                       StructuredIsometricPencil, build_canonical,
+                       builtin_example, check_dilation, check_minimality,
+                       check_uniform, coefficient_norms, isometry_defect)
+from pencildil.isodil import dense_coefficient, window_dim
 from pencildil.linalg import spec_norm
+from pencildil.words import act
+from slot_oracle import column, random_vector, v_act, v_adjoint
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
 S2 = 1.0 / math.sqrt(2.0)
 
 
-def head(value=1.0, dim_y=1):
-    return KPlusVector.from_head([value], dim_y)
+def letters(v, tail_depth):
+    return tuple(dense_coefficient(v, j, tail_depth) for j in (0, 1))
 
 
-def random_kplus(rng, dim_y, dim_h, depth=3):
-    tail = tuple(rng.standard_normal(dim_y) + 1j * rng.standard_normal(dim_y)
-                 for _ in range(depth))
-    h = rng.standard_normal(dim_h) + 1j * rng.standard_normal(dim_h)
-    return KPlusVector(dim_y, dim_h, tail, h)
+def head(v, tail_depth):
+    """The first head basis vector on a depth-t window."""
+    x = np.zeros(window_dim(v, tail_depth), dtype=complex)
+    x[tail_depth * v.dim_y] = 1.0
+    return x
+
+
+def slot(x, v, tail_depth, n):
+    """Content of Y-slot n (n <= -1) of a depth-t window vector."""
+    i = (tail_depth + n) * v.dim_y
+    return x[i:i + v.dim_y]
+
+
+def random_window(rng, v, tail_depth, depth=3):
+    """Random vector on slots -depth..-1 and the head, as a window column."""
+    return column(random_vector(rng, v.dim_y, v.dim_h, tail=depth), v.dim_y,
+                  tail_depth)
 
 
 def test_kplus_vector_trims_and_norms():
-    x = KPlusVector(1, 1, (np.array([1.0]), np.array([0.0])), np.array([2.0]))
-    assert x.depth == 1
-    assert abs(x.norm() - math.sqrt(5.0)) < 1e-14
-    y = x + x
-    assert abs(y.norm() - 2 * x.norm()) < 1e-14
+    # A vector padded with zero slots is the same vector: on a deeper
+    # window it has the same norm and the letters act on it the same way.
+    v = builtin_example(BuiltinExample.SHIFT)
+    x = column(([np.array([1.0]), np.array([0.0])], np.array([2.0]), []), 1, 2)
+    deeper = column(([np.array([1.0])], np.array([2.0]), []), 1, 4)
+    assert np.array_equal(deeper[2:], x)
+    assert abs(np.linalg.norm(x) - math.sqrt(5.0)) < 1e-14
+    assert abs(np.linalg.norm(x + x) - 2 * np.linalg.norm(x)) < 1e-14
+    for lam in (1.0, 1j):
+        np.testing.assert_array_equal(act(letters(v, 4), lam, deeper)[2:],
+                                      act(letters(v, 2), lam, x))
 
 
 def test_builtin_cores_are_isometric():
@@ -43,16 +62,15 @@ def test_builtin_cores_are_isometric():
 def test_shift_is_forward_shift():
     v = builtin_example(BuiltinExample.SHIFT)
     for lam in (1.0, 1j, -1.0):
-        out = apply(v, lam, head())
-        assert out.depth == 1
-        assert abs(out.tail[0][0] - 1.0) < 1e-15
-        assert abs(out.head[0]) < 1e-15
+        out = act(letters(v, 2), lam, head(v, 2))
+        assert abs(slot(out, v, 2, -1)[0] - 1.0) < 1e-15
+        assert abs(out[2]) < 1e-15 and not out[0]
 
 
 def test_lambda_shift_core_is_in_lambda_coefficient():
     v = builtin_example(BuiltinExample.LAMBDA_SHIFT)
-    out = apply(v, 1j, head())
-    assert abs(out.tail[0][0] - 1j) < 1e-15
+    out = act(letters(v, 2), 1j, head(v, 2))
+    assert abs(slot(out, v, 2, -1)[0] - 1j) < 1e-15
     n0, n1 = coefficient_norms(v)
     assert n0 == 1.0 and abs(n1 - 1.0) < 1e-15
     s0, s1 = coefficient_norms(builtin_example(BuiltinExample.SHIFT))
@@ -61,26 +79,29 @@ def test_lambda_shift_core_is_in_lambda_coefficient():
 
 def test_nonuniform_apply_formulas():
     v = builtin_example(BuiltinExample.NON_UNIFORM_V)
+    t = 8
+    ops = letters(v, t)
     for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
-        x = apply(v, lam, head())
+        x = act(ops, lam, head(v, t))
         # V(lam)h = (..., 0, lam h/sqrt2, h/sqrt2, 0)
-        assert abs(x.slot(-1)[0] - S2) < 1e-15
-        assert abs(x.slot(-2)[0] - lam * S2) < 1e-15
-        assert abs(x.head[0]) < 1e-15
-        x = apply(v, lam, x)
+        assert abs(slot(x, v, t, -1)[0] - S2) < 1e-15
+        assert abs(slot(x, v, t, -2)[0] - lam * S2) < 1e-15
+        assert abs(x[t]) < 1e-15
+        x = act(ops, lam, x)
         # V(lam)^2 h = (..., 0, lam h, 0, 0, 0)
-        assert abs(x.slot(-3)[0] - lam) < 1e-14
-        assert x.norm() == pytest.approx(1.0, abs=1e-14)
+        assert abs(slot(x, v, t, -3)[0] - lam) < 1e-14
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
         for n in range(3, 6):
-            x = apply(v, lam, x)
-            assert abs(x.slot(-(n + 1))[0] - lam) < 1e-14
+            x = act(ops, lam, x)
+            assert abs(slot(x, v, t, -(n + 1))[0] - lam) < 1e-14
 
 
 def test_nonuniform_witness_identity():
     v = builtin_example(BuiltinExample.NON_UNIFORM_V)
-    w = apply(v, -1.0, apply(v, 1.0, head()))
-    assert abs(w.head[0] + 1.0) < 1e-15
-    assert abs(w.norm() - 1.0) < 1e-15
+    ops = letters(v, 5)
+    w = act(ops, -1.0, act(ops, 1.0, head(v, 5)))
+    assert abs(w[5] + 1.0) < 1e-15
+    assert abs(np.linalg.norm(w) - 1.0) < 1e-15
 
 
 def test_nonuniform_word_sum_is_minus_h():
@@ -104,50 +125,62 @@ def test_apply_isometry_builtins():
     rng = np.random.default_rng(29)
     for name in BuiltinExample:
         v = builtin_example(name)
+        ops = letters(v, 4 + v.core_depth + 2)
         for _ in range(25):
-            x = random_kplus(rng, v.dim_y, v.dim_h, depth=4)
+            x = random_window(rng, v, 4 + v.core_depth + 2, depth=4)
             lam = complex(np.exp(2j * np.pi * rng.uniform()))
-            assert abs(apply(v, lam, x).norm() - x.norm()) <= 1e-12 * x.norm()
+            norm = np.linalg.norm(x)
+            assert abs(np.linalg.norm(act(ops, lam, x)) - norm) <= 1e-12 * norm
 
 
 def test_adjoint_pairing_and_inverse(all_chains):
     rng = np.random.default_rng(31)
     v = all_chains[2].v
+    ops = letters(v, 6)
     for _ in range(20):
-        x = random_kplus(rng, v.dim_y, v.dim_h, depth=3)
-        y = random_kplus(rng, v.dim_y, v.dim_h, depth=4)
+        x = random_window(rng, v, 6, depth=3)
+        y = random_window(rng, v, 6, depth=4)
         lam = complex(np.exp(2j * np.pi * rng.uniform()))
-        lhs = apply(v, lam, x).vdot(y)
-        rhs = x.vdot(apply_adjoint(v, lam, y))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, x.norm() * y.norm())
-        back = apply_adjoint(v, lam, apply(v, lam, x))
-        assert (back - x).norm() <= 1e-10 * x.norm()
+        lhs = np.vdot(act(ops, lam, x), y)
+        rhs = np.vdot(x, act(ops, lam, y, adjoint=True))
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, scale)
+        back = act(ops, lam, act(ops, lam, x), adjoint=True)
+        assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_adjoint_examples(scalar_chain):
     # shift adjoint on a head vector gives zero
     shift = builtin_example(BuiltinExample.SHIFT)
-    assert apply_adjoint(shift, 1.0, head()).norm() <= 1e-15
+    assert np.linalg.norm(act(letters(shift, 2), 1.0, head(shift, 2),
+                              adjoint=True)) <= 1e-15
     # canonical V: adjoint of a slot -1 vector lands in H through F(lam)^H
     v = scalar_chain.v
     f = scalar_chain.factor
-    y = KPlusVector(1, 1, (np.array([1.0]),), np.array([0.0]))
+    y = column(([np.array([1.0])], np.array([0.0]), []), 1, 2)
     for lam in (1.0, 1j):
-        out = apply_adjoint(v, lam, y)
+        out = act(letters(v, 2), lam, y, adjoint=True)
         expected = (f.f0 + lam * f.f1).conj().T @ np.array([1.0])
-        assert abs(out.head[0] - expected[0]) < 1e-12
+        assert abs(out[2] - expected[0]) < 1e-12
 
 
 def test_dense_rect_matches_structured_apply(all_chains):
+    # The window letters against the slot-by-slot oracle, forward and
+    # adjoint, on every corpus chain and every builtin example.
     rng = np.random.default_rng(37)
-    for chain in all_chains[:4]:
-        v = chain.v
-        for _ in range(5):
-            x = random_kplus(rng, v.dim_y, v.dim_h, depth=3)
+    pencils = [c.v for c in all_chains] + [builtin_example(n) for n in BuiltinExample]
+    for v in pencils:
+        t = 3 + v.core_depth + 2
+        ops = letters(v, t)
+        for _ in range(3):
+            x = random_vector(rng, v.dim_y, v.dim_h, tail=3)
             lam = complex(np.exp(2j * np.pi * rng.uniform()))
-            dense = dense_rect(v, lam, 3) @ x.to_dense(3)
-            exact = apply(v, lam, x).to_dense(4)
-            assert np.linalg.norm(dense - exact) <= 1e-12 * max(1.0, x.norm())
+            scale = max(1.0, np.linalg.norm(column(x, v.dim_y, t)))
+            for step, adjoint in ((v_act, False), (v_adjoint, True)):
+                exact = step(v, lam, *x[:2]) + ([],)
+                dense = act(ops, lam, column(x, v.dim_y, t), adjoint=adjoint)
+                assert np.linalg.norm(dense - column(exact, v.dim_y, t)) \
+                    <= 1e-12 * scale
 
 
 def test_build_canonical_shapes_and_classical_cases(corpus, all_chains):
@@ -157,10 +190,9 @@ def test_build_canonical_shapes_and_classical_cases(corpus, all_chains):
     f = bauer_factorize(gram_coefficients(iso))
     v = build_canonical(iso, f)
     assert v.dim_y == 0 and v.window_prime_dim == 2
-    x = KPlusVector.from_head([1.0, 2.0], dim_y=0)
-    out = apply(v, 1j, x)
-    np.testing.assert_allclose(out.head, (iso.a0 + 1j * iso.a1) @ x.head,
-                               atol=1e-14)
+    x = np.array([1.0, 2.0], dtype=complex)
+    out = act(letters(v, 3), 1j, x)
+    np.testing.assert_allclose(out, (iso.a0 + 1j * iso.a1) @ x, atol=1e-14)
     # constant pencil: lambda-independent core
     t0 = corpus[1].a0
     from pencildil import canonical_chain
@@ -205,7 +237,9 @@ def test_padded_dilation_is_not_minimal():
 
 
 def test_dimension_mismatch_errors():
-    v = builtin_example(BuiltinExample.SHIFT)
-    bad = KPlusVector.from_head([1.0, 2.0], dim_y=1)
+    # A window must hold the core block: the non-uniform core spans slots
+    # -3..-1, so a depth-2 window is rejected.
+    v = builtin_example(BuiltinExample.NON_UNIFORM_V)
     with pytest.raises(DimensionMismatch):
-        apply(v, 1.0, bad)
+        dense_coefficient(v, 0, 2)
+    assert dense_coefficient(v, 0, 3).shape == (4, 4)

@@ -3,20 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from pencildil import (BuiltinExample, FejerRieszFactor, KPlusVector, KVector,
-                       LinearPencil, NotIsometric, PencilKind, QPencil,
-                       StructuredIsometricPencil, UnitaryDilation, apply, apply_u,
-                       apply_u_adjoint, assemble_theta, bauer_factorize,
-                       build_canonical, build_unitary, canonical_chain,
+from pencildil import (BuiltinExample, FejerRieszFactor, LinearPencil,
+                       NotIsometric, PencilKind, QPencil,
+                       StructuredIsometricPencil, UnitaryDilation,
+                       assemble_theta, bauer_factorize, build_canonical,
+                       build_unitary, builtin_example, canonical_chain,
                        check_biinner, check_minimality_unitary,
                        check_uniform_unitary, classify, coefficient_norms_unitary,
                        compression_tower, core_subspaces, gram_coefficients,
-                       q_identity_defect, unit_circle_grid)
+                       q_identity_defect, unit_circle_grid, unitarity_report)
+from pencildil.isodil import dense_coefficient, window_dim
 from pencildil.linalg import spec_norm
-from pencildil.unidil import q_identity_residuals
-from pencildil.verify import random_kvector
+from pencildil.unidil import dense_u_coefficient, q_identity_residuals
+from pencildil.words import act
+from slot_oracle import (column, norm, random_vector, u_act, u_adjoint,
+                         v_act)
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
+
+
+def u_letters(u, tail_depth, future_depth):
+    return tuple(dense_u_coefficient(u, j, tail_depth, future_depth) for j in (0, 1))
+
+
+def u_column(u, x, tail_depth, future_depth):
+    return column(x, u.dim_y, tail_depth, u.dim_u, future_depth)
 
 
 def test_core_subspaces_shift_case():
@@ -79,30 +90,68 @@ def test_q_identity_defect_bounds_the_pointwise_residuals(scalar_chain):
 
 
 def test_unitarity_on_random_vectors(all_chains):
+    # U^* is the inverse of U, slot by slot
     rng = np.random.default_rng(43)
     for chain in all_chains[:4]:
         u = chain.u
         for _ in range(10):
-            x = random_kvector(rng, u)
+            x = random_vector(rng, u.dim_y, u.dim_h, u.dim_u, tail=3, future=2)
             lam = complex(np.exp(2j * np.pi * rng.uniform()))
-            ux = apply_u(u, lam, x)
-            assert abs(ux.norm() - x.norm()) <= 1e-10 * x.norm()
-            assert (apply_u_adjoint(u, lam, ux) - x).norm() <= 1e-10 * x.norm()
-            assert (apply_u(u, lam, apply_u_adjoint(u, lam, x)) - x).norm() \
-                <= 1e-10 * x.norm()
+            ux = u_act(u, lam, x)
+            size = norm(x)
+            t, f = 3 + u.core_depth + 2, 4
+            assert abs(norm(ux) - size) <= 1e-10 * size
+            for y in (u_adjoint(u, lam, ux), u_act(u, lam, u_adjoint(u, lam, x))):
+                diff = u_column(u, y, t, f) - u_column(u, x, t, f)
+                assert np.linalg.norm(diff) <= 1e-10 * size
+
+
+def test_window_letters_match_slot_oracle(all_chains):
+    # U and U^* from the window letters against the slot-by-slot oracle on
+    # every corpus chain and the extensions of the builtin examples.
+    rng = np.random.default_rng(61)
+    dilations = [c.u for c in all_chains] + [build_unitary(builtin_example(n))
+                                            for n in BuiltinExample]
+    for u in dilations:
+        t, f = 3 + u.core_depth + 2, 4
+        ops = u_letters(u, t, f)
+        for _ in range(3):
+            x = random_vector(rng, u.dim_y, u.dim_h, u.dim_u, tail=3, future=2)
+            lam = complex(np.exp(2j * np.pi * rng.uniform()))
+            scale = max(1.0, norm(x))
+            for step, adjoint in ((u_act, False), (u_adjoint, True)):
+                dense = act(ops, lam, u_column(u, x, t, f), adjoint=adjoint)
+                exact = u_column(u, step(u, lam, x), t, f)
+                assert np.linalg.norm(dense - exact) <= 1e-12 * scale
+
+
+def test_unitarity_report_catches_a_wrong_q(scalar_chain):
+    # -q1 keeps Q isometric, so QPencil accepts it, but [C | Q] is no
+    # longer unitary: Q no longer closes the defect of V
+    u = scalar_chain.u
+    wrong = UnitaryDilation(v=u.v, q=QPencil(u.q.q0, -u.q.q1), cores=u.cores)
+    assert q_identity_defect(wrong) > 1.0
+    report = unitarity_report(wrong)
+    assert not report.passed and report.worst_residual > 1.0
+    assert set(report.witness) == {"sample", "lambda"}
+    assert unitarity_report(u).passed
 
 
 def test_extension_property_is_exact(all_chains):
+    # on K+ the letters of U are those of V and never fill a future slot
     rng = np.random.default_rng(47)
     for chain in all_chains[:4]:
         u = chain.u
+        t, f = 3 + u.core_depth + 2, 2
+        kdim = window_dim(u.v, t)
+        ops = u_letters(u, t, f)
         for _ in range(5):
-            x = random_kvector(rng, u, tail_depth=3, future_depth=0)
+            x = random_vector(rng, u.dim_y, u.dim_h, u.dim_u, tail=3)
             lam = complex(np.exp(2j * np.pi * rng.uniform()))
-            via_u = apply_u(u, lam, x)
-            via_v = apply(u.v, lam, x.kplus)
-            assert via_u.future_depth == 0
-            assert (via_u.kplus - via_v).norm() == 0.0
+            via_u = act(ops, lam, u_column(u, x, t, f))
+            via_v = column(v_act(u.v, lam, *x[:2]) + ([],), u.dim_y, t)
+            assert not np.any(via_u[kdim:])
+            assert np.linalg.norm(via_u[:kdim] - via_v) <= 1e-12 * norm(x)
 
 
 def test_inverse_word_difference_formula(scalar_chain):
@@ -111,24 +160,29 @@ def test_inverse_word_difference_formula(scalar_chain):
     rng = np.random.default_rng(53)
     u = scalar_chain.u
     v = u.v
+    t, f = v.core_depth + 4, 5
+    kdim = window_dim(v, t)
+    ops = u_letters(u, t, f)
+    v_ops = tuple(dense_coefficient(v, j, t) for j in (0, 1))
     for n in (1, 2, 3):
         lams = [complex(np.exp(2j * np.pi * rng.uniform())) for _ in range(n)]
-        kp = KPlusVector(v.dim_y, v.dim_h,
-                         tuple(rng.standard_normal(v.dim_y) for _ in range(2)),
-                         rng.standard_normal(v.dim_h))
-        lhs = KVector.from_kplus(kp, u.dim_u)
+        kp = column(([rng.standard_normal(v.dim_y) for _ in range(2)],
+                     rng.standard_normal(v.dim_h), []), v.dim_y, t)
+        lhs = np.concatenate([kp, np.zeros(f * u.dim_u)])
         for lam in reversed(lams):
-            lhs = apply_u_adjoint(u, lam, lhs)
-        from pencildil import apply_adjoint
-        rhs = KVector.from_kplus(apply_adjoint(v, lams[-1], kp), u.dim_u)
+            lhs = act(ops, lam, lhs, adjoint=True)
+        rhs = np.concatenate([act(v_ops, lams[-1], kp, adjoint=True),
+                              np.zeros(f * u.dim_u)])
         for lam in reversed(lams[:-1]):
-            rhs = apply_u_adjoint(u, lam, rhs)
+            rhs = act(ops, lam, rhs, adjoint=True)
         diff = lhs - rhs
-        expected_slot = u.q(lams[-1]).conj().T @ kp.window_prime(v.core_depth)
-        assert diff.kplus.norm() <= 1e-12
+        wp = v.window_prime_dim
+        expected_slot = u.q(lams[-1]).conj().T @ kp[kdim - wp:]
+        assert np.linalg.norm(diff[:kdim]) <= 1e-12
+        future = diff[kdim:].reshape(f, u.dim_u)
         for m in range(1, n):
-            assert np.linalg.norm(diff.future_slot(m)) <= 1e-12
-        np.testing.assert_allclose(diff.future_slot(n), expected_slot, atol=1e-12)
+            assert np.linalg.norm(future[m - 1]) <= 1e-12
+        np.testing.assert_allclose(future[n - 1], expected_slot, atol=1e-12)
 
 
 def test_bilateral_shift_pattern():
@@ -136,9 +190,9 @@ def test_bilateral_shift_pattern():
     u = chain.u
     n0, n1 = coefficient_norms_unitary(u)
     assert n1 == 0.0 and abs(n0 - 1.0) < 1e-15
-    e_fut = KVector(KPlusVector.zero(1, 1), u.dim_u, (np.array([1.0]),))
-    out = apply_u(u, 1j, e_fut)
-    assert abs(out.kplus.head[0] - 1.0) < 1e-15 and out.future_depth == 0
+    # window [slot -2 | slot -1 | head | future 1 | future 2]
+    out = act(u_letters(u, 2, 2), 1j, np.eye(5)[:, 3])
+    assert abs(out[2] - 1.0) < 1e-15 and not np.any(out[3:])
     report = check_minimality_unitary(u, ZERO, depth=4)
     assert report.passed and report.witness == {"rank": 9, "expected": 9}
 
@@ -149,10 +203,11 @@ def test_degenerate_extension_unitary_input():
     v = build_canonical(iso, f)
     u = build_unitary(v)
     assert u.dim_u == 0
-    x = KVector.from_kplus(KPlusVector.from_head([1.0, -2.0], dim_y=0), 0)
-    out = apply_u(u, 1j, x)
-    expected = apply(v, 1j, x.kplus)
-    assert (out.kplus - expected).norm() == 0.0
+    x = np.array([1.0, -2.0], dtype=complex)
+    out = act(u_letters(u, 1, 1), 1j, x)
+    expected = act(tuple(dense_coefficient(v, j, 1) for j in (0, 1)), 1j, x)
+    assert np.array_equal(out, expected)
+    np.testing.assert_allclose(out, (iso.a0 + 1j * iso.a1) @ x, atol=1e-15)
     assert check_minimality_unitary(u, iso, depth=3).passed
 
 

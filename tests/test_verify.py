@@ -120,10 +120,38 @@ def test_falsifier_rejects_non_dilation():
         equivalence_falsifier(shift, shift, half, depth=3)
 
 
+DEMO_CHECKS = {
+    DemoName.SZ_NAGY_SCALAR: [
+        "sz-nagy-scalar/defect-factor", "sz-nagy-scalar/lambda-independent",
+        "uniform", "minimality", "unitarity", "sz-nagy-scalar/gap-space-trivial",
+    ],
+    DemoName.TWO_SIDED_SHIFT: [
+        "two-sided-shift/bilateral-pattern", "two-sided-shift/lambda-independent",
+        "two-sided-shift/shift-norm", "minimality-unitary", "uniform-unitary",
+    ],
+    DemoName.LAMBDA_TWO_SIDED_SHIFT: [
+        "lambda-two-sided-shift/extension-property",
+        "lambda-two-sided-shift/lambda-coefficient", "unitarity",
+        "minimality-unitary", "uniform-unitary",
+        "lambda-two-sided-shift/not-equivalent-to-classical",
+    ],
+    DemoName.NON_UNIFORM_ISO: [
+        "non-uniform-iso/apply-formula", "dilation",
+        "non-uniform-iso/uniformity-witness", "non-uniform-iso/not-uniform",
+        "minimality", "non-uniform-iso/not-equivalent-to-canonical",
+    ],
+    DemoName.NON_UNIFORM_UNI: [
+        "unitarity", "non-uniform-uni/extension-column", "compression-tower",
+        "minimality-unitary", "non-uniform-uni/uniformity-witness",
+        "non-uniform-uni/not-uniform", "non-uniform-uni/not-equivalent-to-both",
+    ],
+}
+
+
 @pytest.mark.parametrize("name", list(DemoName))
 def test_demos_all_claims_pass(name):
     reports = demo(name)
-    assert reports
+    assert [r.check for r in reports] == DEMO_CHECKS[name]
     failed = [r.check for r in reports if not r.passed]
     assert not failed, failed
 
