@@ -29,7 +29,8 @@ from .factorization import FejerRieszFactor
 from .linalg import spec_norm
 from .pencil import LinearPencil, isometry_defect
 from .reporting import Report
-from .words import Letters, grouped_sums, span_rank, worst_word
+from .words import (Letters, closure, closure_bound, difference, grouped_sums,
+                    span_rank)
 
 _FACTOR_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -195,21 +196,34 @@ def check_dilation(v: StructuredIsometricPencil, t: LinearPencil,
     return Report.from_residual("dilation", worst, tol, witness, details)
 
 
+def uniform_report(check: str, letters: Letters, t: LinearPencil,
+                   max_len: int, tol: float, details=None) -> Report:
+    """Words of ``letters`` against T's.  A visited word that differs by more
+    than ``tol`` fails the report with the largest visited difference and
+    the first word reaching it, in product order ("01" = letter 0 times
+    letter 1); otherwise the residual is ``closure_bound``, which fails the
+    report without a witness if it exceeds ``tol``."""
+    pair = difference(letters, Letters.plain((t.a0, t.a1)))
+    word, worst = max(closure(*pair, max_len), key=lambda wd: wd[1],
+                      default=(None, 0.0))
+    if worst > tol:
+        return Report.from_residual(check, worst, tol, {"word": word[::-1]}, details)
+    return Report.from_residual(check, closure_bound(*pair, max_len), tol, None,
+                                details)
+
+
 def check_uniform(v: StructuredIsometricPencil, t: LinearPencil,
                   max_len: int = 6, tol: float = 1e-9) -> Report:
     """Compare every compressed ordered coefficient word against T's word.
 
     Products over independent circle parameters expand multilinearly into
     ordered words, so matching all 2^n words of each length n <= max_len is
-    the uniform dilation property verified exactly.  The witness word is
-    written in product order ("01" = V0 V1).
+    the uniform dilation property, decided by ``uniform_report``.
     """
     _check_dilation_input(v, t)
-    worst, word = worst_word(word_letters(v, t.shape[0], max_len),
-                             Letters.plain((t.a0, t.a1)), max_len)
-    witness = {"word": word[::-1]} if word is not None else None
     details = [{"words_checked": sum(2 ** n for n in range(1, max_len + 1))}]
-    return Report.from_residual("uniform", worst, tol, witness, details)
+    return uniform_report("uniform", word_letters(v, t.shape[0], max_len), t,
+                          max_len, tol, details)
 
 
 def check_minimality(v: StructuredIsometricPencil, t: LinearPencil,

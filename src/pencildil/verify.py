@@ -33,7 +33,7 @@ from .unidil import (QPencil, UnitaryDilation, assemble_theta, build_q,
                      check_uniform_unitary, coefficient_norms_unitary,
                      compression_tower, core_subspaces, dense_u_coefficient,
                      q_identity_defect, word_letters_unitary, worst_index)
-from .words import Letters, act, first_difference
+from .words import Letters, act, closure, difference
 
 CORPUS_SEED = 20240601
 
@@ -249,8 +249,8 @@ def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
 
     Checked in order: uniformity flags, coefficient operator norms, and
     compressed words (fixed under equivalence because the intertwining
-    operator acts as the identity on H), compared one word length at a time
-    up to the first differing word in application order.  Any difference
+    operator acts as the identity on H), compared by ``closure`` up to the
+    first visited word that differs by more than ``tol``.  Any difference
     yields NOT_EQUIVALENT with the distinguishing invariant as witness;
     otherwise the verdict is INCONCLUSIVE, never "equivalent".
     """
@@ -285,10 +285,9 @@ def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
     a, b = (_word_letters(d, n_t, depth) for d in (d1, d2))
     if isinstance(d1, UnitaryDilation) and isinstance(d2, UnitaryDilation):
         a, b = a.with_adjoints(), b.with_adjoints()
-    hit = first_difference(a, b, depth, tol)
-    if hit is not None:
-        word, diff = hit
-        return verdict("word-table", {"word": word, "difference": diff})
+    for word, diff in closure(*difference(a, b), depth):
+        if diff > tol:
+            return verdict("word-table", {"word": word, "difference": diff})
     return Report.from_residual(
         "equivalence-falsifier", 0.0, 0.0,
         witness={"verdict": "INCONCLUSIVE"},

@@ -2,10 +2,10 @@
 
 Products of pencil values over independent circle parameters are
 multilinear, so the dilation, uniformity, minimality and equivalence claims
-reduce to finitely many ordered coefficient words.  The words of one length
-form one stacked array in lexicographic order of application: word ``i`` of
-length ``L``, written with ``L`` digits in base ``len(ops)``, lists its
-letters in the order they are applied ("01" applies letter 0, then 1).
+reduce to finitely many ordered coefficient words, labelled in the order
+their letters are applied ("01" applies letter 0, then 1).  ``span_rank``
+and ``closure_bound`` compress each word length to one block, and
+``closure`` visits only the words that add to a span.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import numerical_rank
+from .linalg import numerical_rank, spec_norm, spec_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,21 +59,6 @@ def act(ops, lam, block: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return a0 @ block + lam * (a1 @ block)
 
 
-def levels(letters: Letters, max_len: int) -> Iterator[np.ndarray]:
-    """Head rows of the words of each length 1..max_len, shape (W, head, n).
-
-    The last length computes only its head rows: no longer word extends it.
-    """
-    ops = np.stack(letters.ops)
-    blocks = letters.start[None]
-    for length in range(1, max_len + 1):
-        last = length == max_len
-        step = ops[:, letters.head, :] if last else ops
-        blocks = np.matmul(step[None], blocks[:, None])
-        blocks = blocks.reshape((len(ops) ** length,) + blocks.shape[2:])
-        yield blocks if last else blocks[:, letters.head, :]
-
-
 def grouped_sums(letters: Letters, max_len: int) -> Iterator[np.ndarray]:
     """Head rows of the word sums of each length 0..max_len, by letter-1 count.
 
@@ -92,54 +77,103 @@ def grouped_sums(letters: Letters, max_len: int) -> Iterator[np.ndarray]:
         yield sums[:, letters.head, :]
 
 
-def word_label(index: int, length: int, n_letters: int) -> str:
-    """Letters of word ``index`` of the given length, in application order."""
-    return np.base_repr(index, n_letters).zfill(length)
-
-
-def _difference_norms(a: Letters, b: Letters, max_len: int):
-    """(length, 2-norms of the head-row differences of its words) per length."""
-    for length, (x, y) in enumerate(zip(levels(a, max_len), levels(b, max_len)),
-                                    start=1):
-        yield length, np.linalg.norm(x - y, 2, axis=(1, 2))
-
-
-def worst_word(a: Letters, b: Letters, max_len: int) -> tuple[float, str | None]:
-    """Largest head-row difference over words of length 1..max_len and the
-    first word attaining it; (0.0, None) when all words agree exactly."""
-    worst, word = 0.0, None
-    for length, norms in _difference_norms(a, b, max_len):
-        i = int(np.argmax(norms))
-        if norms[i] > worst:
-            worst, word = float(norms[i]), word_label(i, length, len(a.ops))
-    return worst, word
-
-
-def first_difference(a: Letters, b: Letters, max_len: int,
-                     tol: float) -> tuple[str, float] | None:
-    """First word whose head rows differ by more than tol, and that difference."""
-    for length, norms in _difference_norms(a, b, max_len):
-        hits = np.flatnonzero(norms > tol)
-        if hits.size:
-            return word_label(hits[0], length, len(a.ops)), float(norms[hits[0]])
-    return None
+def _levels(letters: Letters, max_len: int) -> Iterator[np.ndarray]:
+    """The words of each length 1..max_len applied to the start block, side
+    by side as M, compressed to R^H from qr(M^H) = QR.  M = R^H Q^H with
+    orthonormal rows Q^H keeps the span, the singular values and the norm
+    of any matrix times M, in at most dim columns; the next length applies
+    the letters to R^H."""
+    level = letters.start
+    for _ in range(max_len):
+        stacked = np.concatenate([op @ level for op in letters.ops], axis=1)
+        level = np.linalg.qr(stacked.conj().T, mode="r").conj().T
+        yield level
 
 
 def span_rank(letters: Letters, max_len: int, rows: slice,
               rank_tol: float) -> int:
-    """Numerical rank of all words of length <= max_len restricted to ``rows``.
-
-    Each level L (the words of one length applied to the start block) is
-    replaced by R^H from qr(L^H) = QR.  L = R^H Q^H and Q^H has orthonormal
-    rows, so the span and every singular value of the stacked word matrix
-    are kept exactly while each level stays at most dim columns wide; the
-    next level applies the letters to R^H for the same reason.  ``rank_tol``
-    is the relative cutoff of the one final rank decision.
-    """
-    level = letters.start
-    kept = [level[rows]]
-    for _ in range(max_len):
-        stacked = np.concatenate([op @ level for op in letters.ops], axis=1)
-        level = np.linalg.qr(stacked.conj().T, mode="r").conj().T
-        kept.append(level[rows])
+    """Numerical rank of all words of length <= max_len restricted to ``rows``,
+    closed one ``_levels`` level at a time; ``rank_tol`` is the relative
+    cutoff of the one final rank decision."""
+    kept = [letters.start[rows]] + [level[rows] for level in _levels(letters, max_len)]
     return numerical_rank(np.concatenate(kept, axis=1), rank_tol)
+
+
+def _closed(mask: np.ndarray, feeds: np.ndarray) -> np.ndarray:
+    """``mask`` grown by every coordinate that a coordinate in it feeds."""
+    new = mask
+    while new.any():
+        new = feeds[:, new].any(axis=1) & ~mask
+        mask = mask | new
+    return mask
+
+
+def difference(a: Letters, b: Letters) -> tuple[Letters, np.ndarray]:
+    """Letters diag(a_j, b_j) from [a.start; b.start], and E with
+    E x = x[a.head] - x[b.head], so E times a word of the pair is the
+    difference of the two words' compressions.
+
+    Only the coordinates that some word reaches from the start and some
+    word carries to the output are kept.  By the zero pattern of the
+    letters the others never feed them, so every E x_w is unchanged; for
+    the window of a dilation this drops, for example, the tail slots the
+    shift never brings back and the future slots no forward word fills.
+    """
+    m, dim = len(a.start), len(a.start) + len(b.start)
+    ops = np.zeros((len(a.ops), dim, dim), dtype=complex)
+    ops[:, :m, :m], ops[:, m:, m:] = a.ops, b.ops
+    start = np.vstack([a.start, b.start])
+    out = np.hstack([np.eye(m)[a.head], -np.eye(dim - m)[b.head]])
+    feeds = np.any(ops != 0, axis=0)  # feeds[k, i]: coordinate i feeds k
+    keep = (_closed(np.any(start != 0, axis=1), feeds)
+            & _closed(np.any(out != 0, axis=0), feeds.T))
+    pair = Letters(tuple(ops[:, keep][:, :, keep]), start[keep], slice(0, 0))
+    return pair, out[:, keep]  # E stands in for the pair's head rows
+
+
+def closure(pair: Letters, out: np.ndarray,
+            max_len: int) -> list[tuple[str, float]]:
+    """Visited words of length 1..max_len with their differences ||E x_w||.
+
+    x_w is word w of the ``difference`` pair applied to its start block.
+    Words are visited breadth-first, lexicographically within a length, and
+    only a word whose block adds a direction to the span kept so far has
+    its children visited (Tzeng, SIAM J. Comput. 21 (1992)): at most
+    (dim a + dim b) x letters words.  Every word is a combination of kept
+    words no longer than itself, so in exact arithmetic the first visited
+    word with E x_w != 0 has the shortest differing length.
+    """
+    ops = np.stack(pair.ops)
+    basis = np.zeros((len(pair.start), 0), dtype=complex)
+    labels, blocks, visited = [""], pair.start[None], []
+    for _ in range(max_len):
+        kept = []
+        for i, block in enumerate(blocks):
+            # projected off twice (one Gram-Schmidt pass loses orthogonality);
+            # directions above 1e-12 of the block are new
+            rest = block - basis @ (basis.conj().T @ block)
+            rest -= basis @ (basis.conj().T @ rest)
+            u, s, _ = np.linalg.svd(rest, full_matrices=False)
+            new = u[:, s > 1e-12 * np.linalg.norm(block)]
+            if new.shape[1]:
+                basis = np.hstack([basis, new])
+                kept.append(i)
+        labels = [labels[i] + str(j) for i in kept for j in range(len(ops))]
+        blocks = np.matmul(ops[None], blocks[kept][:, None]).reshape(
+            (len(labels),) + pair.start.shape)
+        visited += zip(labels, spec_norms(out @ blocks).tolist())
+    return visited
+
+
+def closure_bound(pair: Letters, out: np.ndarray, max_len: int) -> float:
+    """A bound on ||E x_w|| for every word of length 1..max_len, visited or not.
+
+    ``closure``'s largest difference is none: an unvisited word combines
+    visited ones with large coefficients when the kept blocks are nearly
+    dependent.  Every word of length L is a column block of the level
+    X_L = C_L P, P P^H = I, C_L from ``_levels`` of the ``difference``
+    pair, so ||E x_w|| <= ||E X_L|| = ||E C_L||.  The largest ||E C_L|| needs
+    no tolerance and exceeds the largest difference by at most the square
+    root of the number of words of its length."""
+    levels = _levels(pair, max_len)
+    return max((spec_norm(out @ level) for level in levels), default=0.0)

@@ -185,8 +185,8 @@ def _residual_column(path, check, grid, out):
 @pytest.fixture
 def perturbed_factor(monkeypatch):
     """Every chain gets its factor moved by 1e-11, small enough for the
-    construction's own isometry and orthogonality cutoffs, so the three
-    identities are off by far more than round-off."""
+    construction's own isometry cutoffs, so the three identities are off
+    by far more than round-off."""
     exact = verify.bauer_factorize
 
     def bumped(g):

@@ -12,7 +12,8 @@ from pencildil import (CapExceeded, LinearPencil, PencilKind, ShapeMismatch,
                        symmetrized_multipower, unit_circle_grid)
 from pencildil.isodil import BuiltinExample, builtin_example
 from pencildil.linalg import adjoints, spec_norm, spec_norms
-from pencildil.words import Letters, levels, word_label
+from pencildil.words import Letters
+from word_oracle import levels, word_label
 
 
 def brute_multipower(p, t0, t1):

@@ -11,7 +11,9 @@ from pencildil import (BuiltinExample, FejerRieszFactor, LinearPencil,
                        check_biinner, check_minimality_unitary,
                        check_uniform_unitary, classify, coefficient_norms_unitary,
                        compression_tower, core_subspaces, gram_coefficients,
-                       q_identity_defect, unit_circle_grid, unitarity_report)
+                       isometry_defect, q_identity_defect, run_pipeline,
+                       unit_circle_grid, unitarity_report)
+from pencildil import verify
 from pencildil.isodil import dense_coefficient, window_dim
 from pencildil.linalg import spec_norm
 from pencildil.unidil import dense_u_coefficient, q_identity_residuals
@@ -64,6 +66,51 @@ def test_core_subspaces_rejects_non_isometric():
     v = StructuredIsometricPencil(1, 1, 0, core)
     with pytest.raises(NotIsometric):
         core_subspaces(v)
+
+
+def test_core_within_the_isometry_cutoff_runs_every_report(monkeypatch):
+    # Moving the scalar factor by 1e-9 leaves a core defect of 1.55e-9,
+    # which build_canonical accepts (cutoff 1e-8); core_subspaces used to
+    # reject the same core with an absolute 1e-10 range-overlap test.
+    # The three reports that contain the core's own defect (q-identities
+    # and theta-biinner as a sub-block, unitarity on random vectors) fail
+    # at their tighter tolerances, by no more than the cutoff allows.
+    exact = verify.bauer_factorize
+
+    def bumped(g):
+        f = exact(g)
+        return FejerRieszFactor(f.f0 * (1 + 1e-9), f.f1)
+
+    monkeypatch.setattr(verify, "bauer_factorize", bumped)
+    t = LinearPencil([[0.5]], [[0.3]])
+    defect = isometry_defect(canonical_chain(t).v.core)
+    assert 1e-9 < defect < 1e-8
+    reports = run_pipeline(t)
+    assert len(reports) == 13
+    failing = {r.check: r.worst_residual for r in reports if not r.passed}
+    assert set(failing) == {"q-identities", "unitarity", "theta-biinner"}
+    assert all(defect <= resid < 1e-8 for resid in failing.values())
+
+
+def _overlap_core(b0, b1):
+    return StructuredIsometricPencil(1, 2, 0, LinearPencil(b0, b1))
+
+
+def test_overlapping_ranges_are_rejected_without_an_orthogonality_test():
+    # Both cores pass the core's isometry cutoff (defects 2e-9 and 8e-9).
+    # A shared direction collapses the combined rank ...
+    shared = _overlap_core([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]],
+                           [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert isometry_defect(shared.core) <= 1e-8
+    with pytest.raises(NotIsometric, match="coefficient ranges overlap"):
+        core_subspaces(shared)
+    # ... and ranges at an angle of 1e-3 from orthogonal leave Q non-isometric.
+    a, b = 4e-6, 1e-3
+    tilted = _overlap_core([[1.0, 0.0], [0.0, a], [0.0, 0.0]],
+                           [[0.0, 0.0], [0.0, b], [0.0, math.sqrt(1 - a * a - b * b)]])
+    assert isometry_defect(tilted.core) <= 1e-8
+    with pytest.raises(NotIsometric, match="Q pencil is not isometric"):
+        build_unitary(tilted)
 
 
 def test_dimension_law(all_chains):

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pencildil import (BuiltinExample, LinearPencil, StructuredIsometricPencil,
                        build_unitary, builtin_example, check_minimality,
-                       check_minimality_unitary, equivalence_falsifier)
-from pencildil.isodil import dense_coefficient, window_dim
+                       check_minimality_unitary, check_uniform,
+                       equivalence_falsifier)
+from pencildil.isodil import dense_coefficient, window_dim, word_letters
 from pencildil.linalg import numerical_rank, spec_norm
-from pencildil.unidil import dense_u_coefficient
-from pencildil.words import (Letters, first_difference, levels, word_label,
-                             worst_word)
+from pencildil.unidil import dense_u_coefficient, word_letters_unitary
+from pencildil.words import Letters, closure, closure_bound, difference
+from word_oracle import (differences, first_difference, levels, word_label,
+                         worst_word)
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
 RANK_TOL = 1e-8
@@ -128,6 +132,11 @@ def test_first_difference_and_worst_word_match_the_word_table():
     assert diffs[worst_w] == pytest.approx(worst, rel=1e-12)
     assert first_difference(a, a, 5, 0.0) is None
     assert worst_word(a, a, 5) == (0.0, None)
+    # the closure finds the same first word and bounds the worst one
+    hit = next((w, d) for w, d in closure(*difference(a, b), 5) if d > 1e-9)
+    assert hit == (word, diff)
+    assert closure_bound(*difference(a, b), 5) >= worst * (1 - 1e-12)
+    assert all(d == 0.0 for _, d in closure(*difference(a, a), 5))
 
 
 @pytest.mark.parametrize("unitary", [False, True])
@@ -160,3 +169,129 @@ def test_falsifier_word_table_witness(unitary):
     assert witness["word"] == expected
     assert witness["difference"] == pytest.approx(
         spec_norm(t1[expected] - t2[expected]), rel=1e-12)
+
+
+TOL = 1e-9
+
+
+def planted_pair(rng, n_letters, length, scale, n=2, p=4, r=2):
+    """Letters (a, b) whose words first differ at ``length``, by about ``scale``.
+
+    b acts on p dims.  a copies b and carries a chain z_1 .. z_{length-1}
+    of r dims each: letter d writes ``scale`` times b's state into z_1,
+    every letter moves z_i to z_{i+1}, and letter c reads z_{length-1}
+    into b's head rows.  So no word shorter than ``length`` differs, and
+    a small ``scale`` enters the span only as a small new direction.  For
+    ``length`` 1, letter c's head rows are moved by ``scale`` directly.
+    """
+    def gauss(*shape):
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)) / np.sqrt(shape[-1])
+
+    b_ops = [gauss(p, p) for _ in range(n_letters)]
+    m = p + (length - 1) * r
+    d, c = rng.integers(n_letters, size=2)
+    a_ops = []
+    for j, op in enumerate(b_ops):
+        a = np.zeros((m, m), dtype=complex)
+        a[:p, :p] = op
+        for i in range(length - 2):
+            a[p + (i + 1) * r:p + (i + 2) * r, p + i * r:p + (i + 1) * r] = gauss(r, r)
+        if length == 1 and j == c:
+            a[:n, :p] += scale * gauss(n, p)
+        if length > 1 and j == d:
+            a[p:p + r, :p] = scale * gauss(r, p)
+        if length > 1 and j == c:
+            a[:n, m - r:] = gauss(n, r)
+        a_ops.append(a)
+    return Letters.embedded(a_ops, 0, n), Letters.embedded(b_ops, 0, n)
+
+
+def test_closure_agrees_with_the_oracle():
+    # 2 and 4 letters, windows of unequal size, differences planted at
+    # lengths 1-4 with sizes 1e-7..1, and pairs with identical words.
+    max_len = 4
+    for seed in range(64):
+        rng = np.random.default_rng(seed)
+        n_letters = (2, 4)[seed % 2]
+        length = 1 + (seed // 2) % 4
+        scale = 0.0 if (seed // 8) % 4 == 3 else 10.0 ** rng.uniform(-7, 0)
+        a, b = planted_pair(rng, n_letters, length, scale)
+        pairs = [(a, b), (b, a)] if seed < 32 else [(b, a), (b, b)]
+        for x, y in pairs:
+            truth = differences(x, y, max_len)
+            pair = difference(x, y)
+            visited = closure(*pair, max_len)
+            hit = next((w for w, d in visited if d > TOL), None)
+            over = [w for w, d in truth.items() if d > TOL]
+            case = (seed, n_letters, length, scale, hit)
+            if over:
+                assert hit is not None and truth[hit] > TOL, case
+                assert len(hit) == min(len(w) for w in over), case
+            else:
+                assert hit is None, case
+            dims = x.start.shape[0] + y.start.shape[0]
+            assert len(visited) <= dims * n_letters, case
+            worst = max(truth.values())
+            bound = closure_bound(*pair, max_len)
+            assert worst * (1 - 1e-10) <= bound, case
+            assert bound <= np.sqrt(n_letters ** max_len) * worst + 1e-12, case
+
+
+def test_uniform_fails_on_a_difference_no_visited_word_shows():
+    # On the head basis e1, e2 of V: letter 0 sends e1 to e1 + 1e-2 e2, which
+    # adds e2 to the span with a small coefficient, and letter 1 sends e1 to
+    # e1 + e2, already in that span, so "1" has no visited children.  Letter
+    # 0 sends e2 to 1e-8 e1, so "00" differs from T = 1 + lambda by 1e-10,
+    # below tol, while "10" (letter 1, then 0) differs by 1e-8, above it.
+    zero_row = np.zeros((1, 2))
+    core = LinearPencil(np.vstack([zero_row, [[1.0, 1e-8], [1e-2, 0.0]]]),
+                        np.vstack([zero_row, [[1.0, 0.0], [1.0, 0.0]]]))
+    v = StructuredIsometricPencil(1, 2, 0, core)
+    t = LinearPencil([[1.0]], [[1.0]])
+    a, b = word_letters(v, 1, 2), Letters.plain((t.a0, t.a1))
+    truth = differences(a, b, 2)
+    assert truth["10"] == pytest.approx(1e-8)
+    visited = closure(*difference(a, b), 2)
+    assert "10" not in dict(visited)
+    assert max(d for _, d in visited) <= 1.1e-10
+    report = check_uniform(v, t, max_len=2)
+    assert not report.passed and report.witness is None
+    assert report.worst_residual >= truth["10"] * (1 - 1e-12)
+
+
+def test_difference_keeps_the_coordinates_words_connect(corpus, all_chains):
+    # A window coordinate stays only when some word reaches it from H and
+    # some word carries it back to H.  For a canonical chain that is the head
+    # alone: deeper tail slots never return and no forward word fills a
+    # future slot.  The non-uniform dilation also keeps its two core slots.
+    # The visited words still give the oracle's first and worst word.
+    t, chain = corpus[2], all_chains[2]
+    n = t.shape[0]
+    plain = Letters.plain((t.a0, t.a1))
+    for letters in (word_letters(chain.v, n, 5), word_letters_unitary(chain.u, n, 5)):
+        pair, _ = difference(letters, plain)
+        assert len(pair.start) == 2 * n < len(letters.start)
+    vt = builtin_example(BuiltinExample.NON_UNIFORM_V)
+    zero = Letters.plain((ZERO.a0, ZERO.a1))
+    for letters in (word_letters(vt, 1, 5), word_letters_unitary(build_unitary(vt), 1, 5)):
+        pair, out = difference(letters, zero)
+        assert len(pair.start) == 4
+        visited = closure(pair, out, 5)
+        assert next(x for x in visited if x[1] > TOL) == first_difference(letters, zero, 5, TOL)
+        assert max(visited, key=lambda x: x[1]) == worst_word(letters, zero, 5)[::-1]
+
+
+def test_self_falsifier_memory_at_depth_8(corpus, all_chains):
+    # Enumerating the 4^8 words of the unitary word table peaked at about
+    # 200 MB; the closure keeps one span basis and one level of words.
+    t, u = corpus[3], all_chains[3].u
+    assert t.shape == (4, 4)
+    tracemalloc.start()
+    try:
+        report = equivalence_falsifier(u, u, t, depth=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.witness == {"verdict": "INCONCLUSIVE"}
+    assert peak < 8e6

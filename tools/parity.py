@@ -1,0 +1,80 @@
+"""Write canonical report JSON for a fixed parity set, one case per line.
+
+The set covers the 20 ``seeded_corpus()`` pipelines, the five demos, the
+scalar, empty-defect and boundary pencils at depths 0, 1 and 4, the
+falsifier pairs that end in the word table or the uniformity invariant,
+and self-falsifiers of the first corpus pencil of each dimension 1..4 at
+depths 6 and 7.  Keys are sorted and floats are written in full, so two
+runs of the same code give byte-identical files and runs of two revisions
+can be compared line by line.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/parity.py parity.jsonl
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import numpy as np
+
+import pencildil as pd
+
+ZERO = pd.LinearPencil([[0.0]], [[0.0]])
+PENCILS = {
+    "scalar": pd.LinearPencil([[0.5]], [[0.3]]),
+    "empty-defect": pd.LinearPencil(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+    "boundary": pd.LinearPencil([[0.5]], [[0.5]]),
+}
+
+
+def _negated_head(v):
+    """The non-uniform dilation with the head row of its core negated."""
+    b0, b1 = v.core.a0.copy(), v.core.a1.copy()
+    b0[-1] *= -1
+    b1[-1] *= -1
+    return pd.StructuredIsometricPencil(v.dim_y, v.dim_h, v.core_depth,
+                                        pd.LinearPencil(b0, b1))
+
+
+def cases():
+    corpus = pd.seeded_corpus()
+    for i, t in enumerate(corpus):
+        yield f"corpus-{i}", lambda t=t: pd.run_pipeline(t)
+    for name in pd.DemoName:
+        yield f"demo-{name.value}", lambda name=name: pd.demo(name)
+    for label, t in PENCILS.items():
+        for depth in (0, 1, 4):
+            yield f"{label}-d{depth}", lambda t=t, depth=depth: pd.run_pipeline(t, depth)
+    vt = pd.builtin_example(pd.BuiltinExample.NON_UNIFORM_V)
+    canonical = pd.canonical_chain(ZERO).v
+    pairs = {"word-table": (vt, _negated_head(vt)),
+             "canonical-vs-non-uniform": (canonical, vt)}
+    for label, (d1, d2) in pairs.items():
+        yield f"falsifier-{label}-iso", \
+            lambda d1=d1, d2=d2: [pd.equivalence_falsifier(d1, d2, ZERO, depth=3)]
+        yield f"falsifier-{label}-uni", lambda d1=d1, d2=d2: [
+            pd.equivalence_falsifier(pd.build_unitary(d1), pd.build_unitary(d2),
+                                     ZERO, depth=3)]
+    for n in range(1, 5):
+        t = next(p for p in corpus if p.shape[0] == n)
+        u = pd.canonical_chain(t).u
+        for depth in (6, 7):
+            yield f"self-falsifier-n{n}-d{depth}", \
+                lambda t=t, u=u, depth=depth: [pd.equivalence_falsifier(u, u, t, depth)]
+
+
+def main(path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for label, run in cases():
+            reports = [r.to_json_dict() for r in run()]
+            fh.write(json.dumps({"case": label, "reports": reports},
+                                sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/parity.py OUT.jsonl")
+    main(sys.argv[1])
