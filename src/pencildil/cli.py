@@ -159,6 +159,8 @@ def _residual_series(p: LinearPencil, which: str, grid: int) -> list[tuple[compl
 
 
 def cmd_residuals(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     p = load_pencil(args.path)
     series = _residual_series(p, args.check, args.grid)
     lines = ["lambda_re,lambda_im,residual"]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FactorMismatch, ShapeMismatch
 from .factorization import FejerRieszFactor
-from .linalg import spec_norm
+from .linalg import spec_norm, spec_norms
 from .pencil import LinearPencil, isometry_defect
 from .reporting import Report
 from .words import (Letters, closure, closure_bound, difference, grouped_sums,
@@ -180,19 +180,23 @@ def check_dilation(v: StructuredIsometricPencil, t: LinearPencil,
 
     For every exponent pair (t0, t1) with t0 + t1 <= max_len the compressed
     multipower P_H V^(t0,t1)|H must equal T^(t0,t1); by multilinearity this
-    is the dilation identity for all circle parameters at once.
+    is the dilation identity for all circle parameters at once.  The
+    residuals of all exponent pairs are the norms of one ``spec_norms``
+    stack.
     """
     _check_dilation_input(v, t)
     sums = zip(grouped_sums(word_letters(v, t.shape[0], max_len), max_len),
                grouped_sums(Letters.plain((t.a0, t.a1)), max_len))
-    worst, witness, details = 0.0, None, []
+    exponents, diffs = [], []
     for length, (v_sums, t_sums) in enumerate(sums):
-        for k in range(length + 1):
-            weight = math.comb(length, k)
-            resid = spec_norm(v_sums[k] / weight - t_sums[k] / weight)
-            details.append({"t": [length - k, k], "residual": resid})
-            if resid > worst:
-                worst, witness = resid, {"t": [length - k, k]}
+        w = np.array([math.comb(length, k) for k in range(length + 1)])[:, None, None]
+        diffs.append(v_sums / w - t_sums / w)
+        exponents += [[length - k, k] for k in range(length + 1)]
+    worst, witness, details = 0.0, None, []
+    for pair, resid in zip(exponents, spec_norms(np.concatenate(diffs)).tolist()):
+        details.append({"t": pair, "residual": resid})
+        if resid > worst:
+            worst, witness = resid, {"t": list(pair)}
     return Report.from_residual("dilation", worst, tol, witness, details)
 
 

@@ -46,11 +46,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def spec_norm(m: np.ndarray) -> float:
-    """Spectral norm; zero for matrices with an empty dimension."""
+    """Spectral norm, the largest singular value (equal to
+    ``np.linalg.norm(m, 2)`` without its dispatch); zero for matrices with
+    an empty dimension."""
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def spec_norms(stack) -> np.ndarray:

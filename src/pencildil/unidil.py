@@ -37,7 +37,7 @@ from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
 from .pencil import (LinearPencil, evaluate_all, isometry_defect,
                      unit_circle_grid)
 from .reporting import Report
-from .words import Letters, act, span_rank
+from .words import Letters, grouped_sums, span_rank
 
 _ISO_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -284,34 +284,31 @@ def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
                       grid_size: int = 32, tol: float = 1e-9) -> Report:
     """P_H U(lam)^n |H = T(lam)^n and P_H U(lam)^{-n} |H = (T(lam)^n)^*.
 
-    The powers are built on the dense window of ``word_letters_unitary``,
-    exact for words up to length max_n in the letters and in their
-    adjoints.  One (dim, G * n_t) block holds a basis of H for every grid
-    point; each step applies U0 and U1 to the whole block with ``act``,
-    forward as U0 + lam U1 and backward as U0^* + conj(lam) U1^*
-    (U(lam)^{-1} = U(lam)^* on the circle), so no per-lambda window matrix
-    is formed.  The
-    witness is the first (lam, n) in grid order, then n, with the largest
-    residual.
+    P_H U(lam)^n |H is the sum over k of lam^k times the words of length n
+    with k letters U1, compressed to H: one ``grouped_sums`` pass over the
+    dense window of ``word_letters_unitary`` gives these coefficients for
+    every n <= max_n.  They are evaluated on the grid and compared with
+    T(lam)^n, and every (lam, n) is decided by one batched SVD.  The
+    backward half needs no pass of its own: U(lam)^{-1} = U(lam)^* on the
+    circle, so P_H U(lam)^{-n} |H = (P_H U(lam)^n |H)^*, and its residual
+    is the forward one.  The witness is the first (lam, n) in grid order,
+    then n, with the largest residual.
     """
     n_t = t.shape[0]
     if t.shape[0] != t.shape[1] or n_t > u.dim_h:
         raise DimensionMismatch("pencil does not fit the dilation's head space")
     grid = unit_circle_grid(grid_size)
-    letters = word_letters_unitary(u, n_t, max_n)
-    lam = np.repeat(grid, n_t)  # column g * n_t + j is basis vector j at grid[g]
-    forward = backward = np.tile(letters.start, (1, grid_size))
+    sums = grouped_sums(word_letters_unitary(u, n_t, max_n), max_n)
+    next(sums)  # length 0: the identity on both sides
+    lam_powers = np.vander(grid, max_n + 1, increasing=True)
     tv = evaluate_all(t, grid)
     power = np.broadcast_to(np.eye(n_t, dtype=complex), tv.shape)
-    resid = np.zeros((grid_size, max_n))
-    for n in range(1, max_n + 1):
+    diff = np.empty((grid_size, max_n, n_t, n_t), dtype=complex)
+    for n, coeffs in enumerate(sums, start=1):
         power = tv @ power
-        forward = act(letters.ops, lam, forward)
-        backward = act(letters.ops, lam, backward, adjoint=True)
-        fwd, bwd = (x[letters.head].reshape(n_t, grid_size, n_t).swapaxes(0, 1)
-                    for x in (forward, backward))
-        resid[:, n - 1] = np.maximum(spec_norms(fwd - power),
-                                     spec_norms(bwd - adjoints(power)))
+        values = lam_powers[:, :n + 1] @ coeffs.reshape(n + 1, -1)
+        diff[:, n - 1] = values.reshape(tv.shape) - power
+    resid = spec_norms(diff)
     worst, witness = 0.0, None
     k = worst_index(resid.ravel(), worst)
     if k is not None:

@@ -95,28 +95,32 @@ def _random_window(rng: np.random.Generator, u: UnitaryDilation, count: int,
     """``count`` random supported vectors of K as window columns, a lambda each.
 
     Vector i fills tail slots -1..-3, the head and future slots 1..future
-    with complex standard normals, drawn in that order and followed by its
-    lambda.  The window has tail depth 3 + core_depth + 2 and future depth
-    future + 2, so the letters act exactly for one step forward and one
-    back, in either order.  Returns the block, the lambdas and the two
+    with complex standard normals, slot by slot in that order, each slot's
+    real parts before its imaginary parts, and is followed by its lambda.
+    One ``standard_normal`` call draws all of a vector's normals in that
+    stream order.  The window has tail depth 3 + core_depth + 2 and future
+    depth future + 2, so the letters act exactly for one step forward and
+    one back, in either order.  Returns the block, the lambdas and the two
     window depths.
     """
     tail = 3
     t, f = tail + u.core_depth + 2, future + 2
     dy, du = u.dim_y, u.dim_u
     kdim = window_dim(u.v, t)
+    # (first row, size) of each slot in drawing order
+    slots = ([((t - n) * dy, dy) for n in range(1, tail + 1)] + [(t * dy, u.dim_h)]
+             + [(kdim + n * du, du) for n in range(future)])
+    sizes = [size for _, size in slots]
+    rows = np.concatenate([np.arange(r, r + size) for r, size in slots])
+    # entry j of a slot at offset o draws its real part at 2o + j and its
+    # imaginary part at 2o + size + j
+    real = np.arange(rows.size) + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    imag = real + np.repeat(sizes, sizes)
     x = np.zeros((kdim + f * du, count), dtype=complex)
     lam = np.zeros(count, dtype=complex)
-
-    def normal(n):
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
     for i in range(count):
-        for n in range(1, tail + 1):  # slot -n
-            x[(t - n) * dy:(t - n + 1) * dy, i] = normal(dy)
-        x[t * dy:kdim, i] = normal(u.dim_h)
-        for n in range(future):  # future slot n + 1
-            x[kdim + n * du:kdim + (n + 1) * du, i] = normal(du)
+        z = rng.standard_normal(2 * rows.size)
+        x[rows, i] = z[real] + 1j * z[imag]
         lam[i] = np.exp(2j * np.pi * rng.uniform())
     return x, lam, t, f
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pencildil import (FejerRieszFactor, LinearPencil, Report, canonical_chain,
-                       check_biinner, factorization, verify)
+                       check_biinner, classify, factorization, verify)
 from pencildil.cli import load_pencil, main, save_pencil
 from pencildil.factorization import factorization_residuals
 from pencildil.pencil import unit_circle_grid
@@ -51,6 +51,16 @@ def test_classify_malformed_file_exit_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["classify", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_classify_negative_tol_exit_2(capsys, scalar_file):
+    # a negative tolerance used to turn 0.5 + 0.3*lam into "not contractive"
+    with pytest.raises(ValueError):
+        classify(load_pencil(scalar_file), tol=-1.0)
+    assert main(["classify", scalar_file, "--tol", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and captured.out == ""
+    assert main(["classify", scalar_file, "--tol", "0"]) == 0
 
 
 def test_dilate_scalar_values(capsys, tmp_path, scalar_file):
@@ -157,6 +167,13 @@ def test_residuals_grid_contract(tmp_path, capsys, scalar_file):
         lam = complex(float(re_s), float(im_s))
         assert abs(lam - np.exp(2j * math.pi * k / 8)) < 1e-12
         assert float(r_s) <= 1e-9
+
+
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_residuals_grid_below_one_exit_2(capsys, scalar_file, grid):
+    assert main(["residuals", scalar_file, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and captured.out == ""
 
 
 def test_residuals_theta_zero_pencil(tmp_path, capsys):

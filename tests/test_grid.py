@@ -170,24 +170,26 @@ def loop_q_residuals(v, q, lams):
     return out
 
 
-def loop_tower_worst(u, t, max_n=6, grid_size=32):
-    """Largest tower residual from the slot-by-slot oracle."""
+def oracle_tower(u, t, lam, max_n):
+    """(T(lam)^n, P_H U(lam)^n|H, P_H U(lam)^{-n}|H) for n = 1..max_n, from
+    the slot-by-slot oracle."""
     n_t = t.shape[0]
-    basis = [([], np.eye(u.dim_h)[:, j], []) for j in range(n_t)]
-    worst = 0.0
-    for lam in unit_circle_grid(grid_size):
-        tv = evaluate(t, lam)
-        power = np.eye(n_t, dtype=complex)
-        forward, backward = list(basis), list(basis)
-        for _ in range(max_n):
-            power = tv @ power
-            forward = [u_act(u, lam, x) for x in forward]
-            backward = [u_adjoint(u, lam, x) for x in backward]
-            fwd = np.stack([x[1][:n_t] for x in forward], axis=1)
-            bwd = np.stack([x[1][:n_t] for x in backward], axis=1)
-            worst = max(worst, spec_norm(fwd - power),
-                        spec_norm(bwd - power.conj().T))
-    return worst
+    forward = backward = [([], np.eye(u.dim_h)[:, j], []) for j in range(n_t)]
+    power = np.eye(n_t, dtype=complex)
+    for _ in range(max_n):
+        power = evaluate(t, lam) @ power
+        forward = [u_act(u, lam, x) for x in forward]
+        backward = [u_adjoint(u, lam, x) for x in backward]
+        yield (power, np.stack([x[1][:n_t] for x in forward], axis=1),
+               np.stack([x[1][:n_t] for x in backward], axis=1))
+
+
+def loop_tower_worst(u, t, max_n=6, grid_size=32):
+    """Largest tower residual, both power signs, from the slot-by-slot oracle."""
+    return max((max(spec_norm(fwd - power), spec_norm(bwd - power.conj().T))
+                for lam in unit_circle_grid(grid_size)
+                for power, fwd, bwd in oracle_tower(u, t, lam, max_n)),
+               default=0.0)
 
 
 # --- parity ----------------------------------------------------------------
@@ -199,6 +201,8 @@ def test_evaluate_all_and_stack_helpers_match_pointwise(pencils):
         values = evaluate_all(p, grid)
         assert np.array_equal(values, np.stack([evaluate(p, lam) for lam in grid]))
         assert np.array_equal(spec_norms(values), [spec_norm(v) for v in values])
+        assert np.array_equal([spec_norm(v) for v in values],
+                              [np.linalg.norm(v, 2) for v in values])
         for tol in (1e-10, 0.5):
             assert np.array_equal(ranks(values, tol),
                                   [numerical_rank(v, tol) for v in values])
@@ -209,9 +213,17 @@ def test_evaluate_all_and_stack_helpers_match_pointwise(pencils):
 
 def test_classify_matches_loop(pencils):
     scaled = [LinearPencil(1.1 * p.a0, 1.1 * p.a1) for p in pencils[:6]]
-    for p in pencils + scaled:
+    # max |T| = 0.5 + a1 at lam = 1, a grid point, so max_norm**2 - 1 is
+    # 0.5 tol (contractive), 1.5 tol and 2 tol (not contractive) for
+    # tol = 1e-10; at 1.5 tol, max_norm - 1 is still below tol
+    near_tol = [LinearPencil([[0.5]], [[math.sqrt(1 + f * 1e-10) - 0.5]])
+                for f in (0.5, 1.5, 2.0)]
+    for p in pencils + scaled + near_tol:
         for grid_size in (8, 256):
             assert classify(p, grid_size) == loop_classify(p, grid_size)
+    assert [classify(p).kind for p in near_tol] == [PencilKind.CONTRACTIVE,
+                                                    PencilKind.NONE,
+                                                    PencilKind.NONE]
     kinds = {classify(p).kind for p in pencils + scaled}
     assert kinds == {PencilKind.CONTRACTIVE, PencilKind.UNITARY, PencilKind.NONE}
 
@@ -290,6 +302,14 @@ def test_compression_tower_matches_structured_loop(pencils, chains):
         want = loop_tower_worst(chain.u, t, max_n=4, grid_size=8)
         assert abs(got.worst_residual - want) <= ROUND_OFF
         assert got.passed
+
+
+def test_backward_tower_is_the_adjoint_of_the_forward_tower(chains):
+    # compression_tower decides U^{-n} by P_H U^{-n}|H = (P_H U^n|H)^*
+    for chain in chains:
+        for lam in unit_circle_grid(8):
+            for _, fwd, bwd in oracle_tower(chain.u, chain.pencil, lam, 4):
+                assert spec_norm(bwd - fwd.conj().T) <= ROUND_OFF
 
 
 def test_compression_tower_sees_a_wrong_pencil(chains):

@@ -11,6 +11,14 @@ can be compared line by line.
 Run from the repository root:
 
     PYTHONPATH=src python tools/parity.py parity.jsonl
+
+and compare two such files (say, of two revisions) with
+
+    PYTHONPATH=src python tools/parity.py --compare old.jsonl new.jsonl
+
+which lists each (case, check, field) that differs, with the largest
+absolute difference of its numbers, and exits 1 when a case, a report
+name or a verdict (``pass``, or a falsifier's witness verdict) differs.
 """
 
 from __future__ import annotations
@@ -74,7 +82,69 @@ def main(path: str) -> None:
                                 sort_keys=True) + "\n")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _delta(a, b):
+    """Largest |a - b| over the numbers of two JSON values, or None when
+    they differ in anything but the values of numbers."""
+    if _is_number(a) and _is_number(b):
+        return abs(a - b)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        deltas = [_delta(x, y) for x, y in zip(a, b)]
+    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        deltas = [_delta(a[k], b[k]) for k in a]
+    else:
+        return 0.0 if a == b else None
+    return None if None in deltas else max(deltas, default=0.0)
+
+
+def _load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return {row["case"]: row["reports"] for row in map(json.loads, fh)}
+
+
+def _verdict(report: dict):
+    return report["pass"], (report.get("witness") or {}).get("verdict")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the differing fields of two parity files; 1 if a case, report
+    name or verdict differs, else 0."""
+    old, new = _load(old_path), _load(new_path)
+    fatal, moved = False, 0
+    for case in list(old) + [c for c in new if c not in old]:
+        if case not in old or case not in new:
+            print(f"{case}: only in {old_path if case in old else new_path}")
+            fatal = True
+            continue
+        names = [[r["check"] for r in old[case]], [r["check"] for r in new[case]]]
+        if names[0] != names[1]:
+            print(f"{case}: report names differ: {names[0]} -> {names[1]}")
+            fatal = True
+            continue
+        for a, b in zip(old[case], new[case]):
+            if _verdict(a) != _verdict(b):
+                print(f"{case}  {a['check']}: verdict {_verdict(a)} -> {_verdict(b)}")
+                fatal = True
+            for field in sorted(a.keys() | b.keys()):
+                if a.get(field) == b.get(field):
+                    continue
+                moved += 1
+                delta = _delta(a.get(field), b.get(field))
+                change = (f"max |delta| {delta:.3g}" if delta is not None else
+                          f"{json.dumps(a.get(field))} -> {json.dumps(b.get(field))}")
+                print(f"{case}  {a['check']}  {field}  {change}")
+    print(f"{moved} fields differ; cases, report names and verdicts "
+          + ("DIFFER" if fatal else "agree"))
+    return 1 if fatal else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit("usage: python tools/parity.py OUT.jsonl")
+        sys.exit("usage: python tools/parity.py OUT.jsonl\n"
+                 "       python tools/parity.py --compare OLD.jsonl NEW.jsonl")
     main(sys.argv[1])
