@@ -24,7 +24,8 @@ import scipy.linalg
 from .errors import NoConvergence, NotContractive, NotPSD, ShapeMismatch
 from .linalg import (adjoints, as_matrix, numerical_rank, orthonormal_range,
                      psd_sqrt, ranks, spec_norm, spec_norms)
-from .pencil import DEFAULT_GRID, LinearPencil, classify, evaluate_all, unit_circle_grid
+from .pencil import (DEFAULT_GRID, LinearPencil, candidate_indices, classify,
+                     evaluate_all, rank_candidates, unit_circle_grid)
 
 # Coefficient matching f0^H f0 + f1^H f1 = r0, f0^H f1 = c must hold to
 # this accuracy for the factor to be accepted.
@@ -154,16 +155,25 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
     grid and NoConvergence (carrying the last step norm) when max_iter is
     exhausted, when the coefficients do not match the defect, or when
     det(f0 + z f1) has a root inside the disk.  Boundary-singular symbols
-    converge linearly (``0.5 + 0.5*lam`` takes 38 steps).
+    converge linearly (``0.5 + 0.5*lam`` takes 38 steps).  A ``grid_size``
+    below 1 raises ValueError.
+
+    The NotPSD scan evaluates only the ``candidate_indices`` of the symbol
+    plus tol * I, the grid points where it may dip below -tol; the first
+    failing candidate, which its message names, is the first failing grid
+    point.
     """
+    if grid_size < 1:
+        raise ValueError("grid_size must be at least 1")
     if g.dim:
-        grid = unit_circle_grid(grid_size)
-        lowest = np.linalg.eigvalsh(g.symbols(grid))[:, 0]
+        found = candidate_indices(g.r0 + tol * np.eye(g.dim), g.c, grid_size)
+        lams = unit_circle_grid(grid_size)[found]
+        lowest = np.linalg.eigvalsh(g.symbols(lams))[:, 0]
         bad = np.flatnonzero(lowest < -tol)
         if bad.size:
             k = bad[0]
             raise NotPSD(f"defect symbol has eigenvalue {lowest[k]:.3e} "
-                         f"at lam={grid[k]:.4f}")
+                         f"at lam={lams[k]:.4f}")
 
     n = g.dim
     x, a, p = g.r0, g.c, np.zeros_like(g.c)
@@ -237,9 +247,16 @@ def outer_surrogate_check(f: FejerRieszFactor, grid_size: int = DEFAULT_GRID,
 
     This is the consequence of outerness consumed by the minimality
     argument.  It is necessary but not sufficient for outerness; the root
-    location check in bauer_factorize is the stronger certificate.
+    location check in bauer_factorize is the stronger certificate.  Only
+    the ``rank_candidates`` of F, the grid points where its smallest
+    singular value may be small enough, get the rank test; the answer is
+    the one of the whole grid.  A ``grid_size`` below 1 raises ValueError.
     """
+    if grid_size < 1:
+        raise ValueError("grid_size must be at least 1")
     if f.dim_y == 0:
         return True
-    values = evaluate_all(f.as_pencil(), unit_circle_grid(grid_size))
+    p = f.as_pencil()
+    found = rank_candidates(p, f.dim_y, tol, grid_size)
+    values = evaluate_all(p, unit_circle_grid(grid_size)[found])
     return bool(np.all(ranks(values, tol) == f.dim_y))

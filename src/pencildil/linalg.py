@@ -72,14 +72,25 @@ def adjoints(stack) -> np.ndarray:
 
 
 def canonicalize_phases(b: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry of largest modulus is real > 0."""
+    """Rotate each column so its first entry of largest modulus is real > 0.
+
+    Zero columns are left as they are, signed zeros included.
+    """
     b = np.array(b, dtype=complex)
-    for j in range(b.shape[1]):
-        col = b[:, j]
-        i = int(np.argmax(np.abs(col)))
-        v = col[i]
-        if np.abs(v) > 0:
-            b[:, j] = col * (np.conj(v) / np.abs(v))
+    if b.shape[1] == 0:
+        return b
+    mag = np.abs(b)
+    rows, cols = np.argmax(mag, axis=0), np.arange(b.shape[1])
+    size = mag[rows, cols]
+    turn = size > 0
+    phase = np.conj(b[rows[turn], cols[turn]]) / size[turn]
+    # a full phase operand, not a broadcast one: numpy rounds a product with
+    # a broadcast factor differently on some shapes, and this rounds as the
+    # product of one column with its scalar phase does
+    full = np.repeat(phase[None], b.shape[0], axis=0)
+    if turn.all():
+        return b * full
+    b[:, turn] = b[:, turn] * full
     return b
 
 

@@ -7,6 +7,12 @@ on the coefficients by ``isometry_defect`` (a bound for all lam at once);
 contractivity is a grid decision with a Lipschitz certificate.  A grid is
 evaluated as one stacked (G, rows, cols) array and decided by batched
 LAPACK calls, pointwise equal to evaluating it one lambda at a time.
+
+Each grid decision is a sign or rank question about a Hermitian symbol
+R(lam) = r0 + lam*r1 + conj(lam)*r1^H, and ``candidate_indices`` localises
+it: R changes inertia only at the unimodular roots of det R, so one test
+per arc between roots tells which grid points can answer the question, and
+only those are evaluated.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import CapExceeded, ShapeMismatch
 from .linalg import as_matrix, spec_norm, spec_norms
@@ -23,6 +30,20 @@ from .words import Letters, grouped_sums
 
 DEFAULT_GRID = 256
 WORD_LENGTH_CAP = 10
+# An eigenvalue z of the palindromic quadratic with ||z| - 1| <= _ROOT_BAND
+# counts as a root of det R on the circle.  A spurious root only splits an
+# arc in two, so the band errs wide.
+_ROOT_BAND = 1e-3
+# Generalised eigenvalues (alpha, beta) of the scaled linearisation with
+# both below this mean det R nearly vanishes on the whole circle.
+_SINGULAR = 1e-13
+# Lower bound on the relative cutoff of ``rank_candidates``: the squared
+# (Gram) form resolves singular values only down to about 1e-8 of the norm.
+_GRAM_FLOOR = 1e-7
+# ``classify`` takes its first peak estimate at this many grid points and
+# evaluates the points within this relative slack of its square.
+_COARSE = 16
+_PEAK_SLACK = 1e-9
 
 
 def unit_circle_grid(n: int) -> np.ndarray:
@@ -79,6 +100,100 @@ def isometry_defect(p: LinearPencil) -> float:
     return spec_norm(gram) + 2.0 * spec_norm(a0.conj().T @ a1)
 
 
+def unimodular_roots(r0: np.ndarray, r1: np.ndarray) -> np.ndarray | None:
+    """Angles in [0, 2*pi) of the roots of det R(lam) on the unit circle.
+
+    R(lam) = r0 + lam*r1 + conj(lam)*r1^H with r0 Hermitian.  On the circle
+    lam*R(lam) = lam^2 r1 + lam r0 + r1^H, so the roots are the unimodular
+    eigenvalues of that palindromic quadratic (Mackey, Mackey, Mehl &
+    Mehrmann, SIAM J. Matrix Anal. Appl. 28 (2006)), found by QZ on its
+    2m x 2m companion linearisation of the scaled coefficients.  Returns
+    None when det R vanishes (to round-off) on the whole circle, where roots
+    localise nothing.
+    """
+    m = r0.shape[0]
+    scale = max(float(np.abs(r0).max(initial=0.0)), float(np.abs(r1).max(initial=0.0)))
+    if scale == 0.0:
+        return None
+    a = np.zeros((2 * m, 2 * m), dtype=complex)
+    b = np.zeros((2 * m, 2 * m), dtype=complex)
+    a[:m, :m], a[:m, m:] = r0 / -scale, r1.conj().T / -scale
+    b[:m, :m] = r1 / scale
+    diag = np.arange(m)
+    a[m + diag, diag] = b[m + diag, m + diag] = 1.0
+    alpha, beta, *_, info = lapack.zggev(a, b, compute_vl=0, compute_vr=0)
+    if info != 0:
+        return None
+    if np.any(np.maximum(np.abs(alpha), np.abs(beta)) <= _SINGULAR):
+        return None
+    on_circle = np.abs(np.abs(alpha) - np.abs(beta)) <= _ROOT_BAND * np.abs(beta)
+    return np.sort(np.angle(alpha[on_circle] * beta[on_circle].conj()) % (2 * np.pi))
+
+
+def _not_definite(r0: np.ndarray, r1: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Whether R(lam) has an eigenvalue <= 0, at each lam."""
+    lams = lams[:, None, None]
+    values = r0 + lams * r1 + np.conj(lams) * r1.conj().T
+    return np.linalg.eigvalsh(values)[:, 0] <= 0.0
+
+
+def candidate_indices(r0: np.ndarray, r1: np.ndarray, grid_size: int) -> np.ndarray:
+    """Sorted indices k of the points lam_k = exp(2*pi*i*k/grid_size) at
+    which R(lam_k) = r0 + lam_k r1 + conj(lam_k) r1^H may fail to be
+    positive definite.
+
+    The inertia of R is constant on each arc between consecutive roots from
+    ``unimodular_roots``, so one test at the arc's midpoint decides it.  The
+    candidates are every grid point of an arc that fails, padded by one grid
+    step on each side, and the two grid neighbours of every root.  Without
+    roots one test at lam = 1 decides the whole circle, and when det R
+    vanishes identically every grid point is a candidate.
+    """
+    if r0.shape[0] == 0:
+        return np.zeros(0, dtype=int)
+    roots = unimodular_roots(r0, r1)
+    if roots is None:
+        return np.arange(grid_size)
+    if roots.size == 0:
+        whole = _not_definite(r0, r1, np.ones(1, dtype=complex))[0]
+        return np.arange(grid_size if whole else 0)
+    starts = roots * (grid_size / (2 * np.pi))
+    ends = np.append(starts[1:], starts[0] + grid_size)
+    fails = _not_definite(r0, r1, np.exp(1j * np.pi * (starts + ends) / grid_size))
+    take = np.zeros(grid_size, dtype=bool)
+    for start, end in zip(starts[fails], ends[fails]):
+        take[np.arange(math.ceil(start) - 1, math.floor(end) + 2) % grid_size] = True
+    below = np.floor(starts).astype(int)
+    take[below % grid_size] = True
+    take[(below + 1) % grid_size] = True
+    return np.flatnonzero(take)
+
+
+def rank_candidates(p: LinearPencil, rank: int, tol: float,
+                    grid_size: int) -> np.ndarray:
+    """Grid indices at which ``numerical_rank(p(lam), tol)`` may differ from
+    ``rank``.
+
+    The rank falls below rank = min(rows, cols) only where the smallest
+    singular value is at most tol * ||p(lam)|| <= tol * M, M = ||a0|| + ||a1||,
+    so the candidates are those of ``candidate_indices`` for the Gram
+    symbol of p / M on the smaller side minus tau^2 I, tau = max(tol, 1e-7).
+    Any other ``rank``, or M = 0, can differ anywhere, and every grid point
+    is a candidate.
+    """
+    rows, cols = p.shape
+    bound = spec_norm(p.a0) + spec_norm(p.a1)
+    if rank != min(rows, cols) or bound == 0:
+        return np.arange(grid_size)
+    a0, a1 = p.a0 / bound, p.a1 / bound
+    if rows > cols:
+        a0, a1 = a0.conj().T, a1.conj().T  # same singular values, conj(lam)
+    tau = max(tol, _GRAM_FLOOR)
+    gram0 = a0 @ a0.conj().T + a1 @ a1.conj().T - tau ** 2 * np.eye(rank)
+    found = candidate_indices(gram0, a1 @ a0.conj().T, grid_size)
+    return found if rows <= cols else np.sort(-found % grid_size)
+
+
 class PencilKind(Enum):
     UNITARY = "unitary"
     ISOMETRIC = "isometric"
@@ -113,13 +228,29 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     certifies the whole circle.  Boundary pencils (isometric ones have
     margin 0) pass the grid test but are never ``certified`` contractive.
     A negative ``tol`` raises ValueError.
+
+    The grid maximum is found without evaluating the whole grid: 16 coarse
+    points give gamma, and only the ``candidate_indices`` of
+    (1 - 1e-9) I - T^H T / gamma^2, the points where ||T||^2 may exceed
+    gamma^2 (1 - 1e-9), join them.  The grid maximum lies among them, so
+    the value is bitwise the one of the whole grid; a flat norm (isometric
+    blocks) or a1 = 0 makes every grid point a candidate.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    values = evaluate_all(p, unit_circle_grid(grid_size))
-    max_norm = float(spec_norms(values).max())
+    grid = unit_circle_grid(grid_size)
+    coarse = np.unique(np.arange(_COARSE) * grid_size // _COARSE)
+    gamma = float(spec_norms(evaluate_all(p, grid[coarse])).max())
+    a0, a1 = (p.a0 / gamma, p.a1 / gamma) if gamma > 0 else (p.a0, p.a1)
+    level = (1.0 - _PEAK_SLACK) * np.eye(p.shape[1])
+    found = candidate_indices(level - a0.conj().T @ a0 - a1.conj().T @ a1,
+                              -a0.conj().T @ a1, grid_size)
+    rest = np.zeros(grid_size, dtype=bool)
+    rest[found] = True
+    rest[coarse] = False
+    max_norm = float(spec_norms(evaluate_all(p, grid[rest])).max(initial=gamma))
 
     if isometry_defect(p) <= tol:
         unitary = isometry_defect(LinearPencil(p.a0.conj().T, p.a1.conj().T)) <= tol

@@ -35,7 +35,7 @@ from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
                      orthonormal_range, projector, ranks, spec_norm,
                      spec_norms)
 from .pencil import (LinearPencil, evaluate_all, isometry_defect,
-                     unit_circle_grid)
+                     rank_candidates, unit_circle_grid)
 from .reporting import Report
 from .words import Letters, grouped_sums, span_rank
 
@@ -292,8 +292,11 @@ def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
     backward half needs no pass of its own: U(lam)^{-1} = U(lam)^* on the
     circle, so P_H U(lam)^{-n} |H = (P_H U(lam)^n |H)^*, and its residual
     is the forward one.  The witness is the first (lam, n) in grid order,
-    then n, with the largest residual.
+    then n, with the largest residual.  A ``grid_size`` below 1 raises
+    ValueError.
     """
+    if grid_size < 1:
+        raise ValueError("grid_size must be at least 1")
     n_t = t.shape[0]
     if t.shape[0] != t.shape[1] or n_t > u.dim_h:
         raise DimensionMismatch("pencil does not fit the dilation's head space")
@@ -381,17 +384,26 @@ def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
     interior point can exceed the boundary residual; nothing is sampled
     inside.  The rank conditions on the corner blocks stand in for the L^2
     density conditions; full pointwise rank on the grid is reported as a
-    surrogate, not a certificate.
+    surrogate, not a certificate.  Each corner is ranked only at its
+    ``rank_candidates``, with the answer of the whole grid.  A
+    ``grid_size`` below 1 raises ValueError.
     """
+    if grid_size < 1:
+        raise ValueError("grid_size must be at least 1")
     rows, cols = theta.shape
     if rows != dim_y + dim_h or cols != dim_h + dim_u:
         raise DimensionMismatch("theta block dimensions are inconsistent")
     worst = isometry_defect(theta)
     witness = {"where": "boundary"} if worst > 0.0 else None
     grid = unit_circle_grid(grid_size)
-    values = evaluate_all(theta, grid)
-    rank_ok = bool(np.all(ranks(values[:, :dim_y, :dim_h], rank_tol) == dim_y)
-                   and np.all(ranks(values[:, dim_y:, dim_h:], rank_tol) == dim_u))
+
+    def full_rank(block, rank):
+        corner = LinearPencil(theta.a0[block], theta.a1[block])
+        lams = grid[rank_candidates(corner, rank, rank_tol, grid_size)]
+        return bool(np.all(ranks(evaluate_all(corner, lams), rank_tol) == rank))
+
+    rank_ok = (full_rank(np.s_[:dim_y, :dim_h], dim_y)
+               and full_rank(np.s_[dim_y:, dim_h:], dim_u))
     if not rank_ok:
         worst = max(worst, 1.0)
         witness = {"where": "density-surrogate"}

@@ -142,7 +142,10 @@ def unitarity_report(u: UnitaryDilation, count: int = 50,
     own lambda, and U and U^* act on the whole block at once.  A column's
     residual is the largest of | ||Ux|| - ||x|| |, ||U^*Ux - x|| and
     ||UU^*x - x||; the witness is the first sample with the largest one.
+    A ``count`` below 1 raises ValueError.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     x, lam, t, f = _random_window(np.random.default_rng(seed), u, count)
     ops = _u_letters(u, t, f)
     ux = act(ops, lam, x)

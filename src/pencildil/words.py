@@ -141,7 +141,8 @@ def closure(pair: Letters, out: np.ndarray,
     its children visited (Tzeng, SIAM J. Comput. 21 (1992)): at most
     (dim a + dim b) x letters words.  Every word is a combination of kept
     words no longer than itself, so in exact arithmetic the first visited
-    word with E x_w != 0 has the shortest differing length.
+    word with E x_w != 0 has the shortest differing length.  The visit
+    stops at the first level that keeps no word.
     """
     ops = np.stack(pair.ops)
     basis = np.zeros((len(pair.start), 0), dtype=complex)
@@ -158,6 +159,8 @@ def closure(pair: Letters, out: np.ndarray,
             if new.shape[1]:
                 basis = np.hstack([basis, new])
                 kept.append(i)
+        if not kept:
+            break  # every later level is empty
         labels = [labels[i] + str(j) for i in kept for j in range(len(ops))]
         blocks = np.matmul(ops[None], blocks[kept][:, None]).reshape(
             (len(labels),) + pair.start.shape)

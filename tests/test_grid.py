@@ -1,10 +1,12 @@
 """Batched grid checks against the point-by-point loops they replace.
 
 Each reference below evaluates one lambda at a time, as the checks did
-before the grids were stacked.  Classification, factorization, the outer
-surrogate and the biinner report must agree exactly: the batched LAPACK
-calls see the same matrices (isometry and theta's boundary unitarity are
-decided on the coefficients by ``isometry_defect`` in both).  The Q
+before the grids were stacked and localised.  Classification,
+factorization, the outer surrogate and the biinner report must agree
+exactly: the batched LAPACK calls see the same matrices, and localisation
+only leaves out grid points that cannot change an answer (isometry and
+theta's boundary unitarity are decided on the coefficients by
+``isometry_defect`` in both).  The Q
 identities and the compression tower are computed on smaller (exactly
 equivalent) matrices and agree to round-off; their references act slot by
 slot through ``slot_oracle``, never through the window letters.
@@ -15,16 +17,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pencildil import (GramCoefficients, LinearPencil, NotPSD, Report,
+from pencildil import (FejerRieszFactor, GramCoefficients, LinearPencil,
+                       NoConvergence, NotPSD, PencilError, Report,
                        bauer_factorize, canonical_chain, check_biinner,
                        classify, compression_tower, evaluate_all,
                        isometry_defect, outer_surrogate_check, run_pipeline,
-                       seeded_corpus)
+                       seeded_corpus, unitarity_report)
 from pencildil.factorization import factorization_residuals
 from pencildil.isodil import window_dim
 from pencildil.linalg import numerical_rank, ranks, spec_norm, spec_norms
-from pencildil.pencil import PencilClass, PencilKind, evaluate, unit_circle_grid
+from pencildil.pencil import (PencilClass, PencilKind, candidate_indices,
+                              evaluate, rank_candidates, unimodular_roots,
+                              unit_circle_grid)
 from pencildil.unidil import q_identity_residuals, theta_boundary_residuals
 from slot_oracle import column, u_act, u_adjoint, v_act
 
@@ -218,7 +225,10 @@ def test_classify_matches_loop(pencils):
     # tol = 1e-10; at 1.5 tol, max_norm - 1 is still below tol
     near_tol = [LinearPencil([[0.5]], [[math.sqrt(1 + f * 1e-10) - 0.5]])
                 for f in (0.5, 1.5, 2.0)]
-    for p in pencils + scaled + near_tol:
+    # extreme scales: localisation squares the pencil, normalised first
+    extreme = [LinearPencil(s * p.a0, s * p.a1) for s in (1e100, 1e-200)
+               for p in pencils[3:5]]
+    for p in pencils + scaled + near_tol + extreme:
         for grid_size in (8, 256):
             assert classify(p, grid_size) == loop_classify(p, grid_size)
     assert [classify(p).kind for p in near_tol] == [PencilKind.CONTRACTIVE,
@@ -267,13 +277,22 @@ def test_biinner_matches_loop(chains):
     a0[:1, :2] = 0.0
     a1[:1, :2] = 0.0
     thetas.append((LinearPencil(a0, a1), 1, 2, 2))  # rank-deficient corner
+    # a tall 3 x 2 corner that loses rank only at lambda = exp(2 pi i / 8),
+    # a point of the 64-point grid whose conjugate is another one
+    c0, c1 = (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+              for _ in range(2))
+    lam = np.exp(2j * np.pi / 8)
+    v = np.array([[0.6], [0.8]])
+    c0[1:, 3:] -= (c0[1:, 3:] + lam * c1[1:, 3:]) @ v @ v.T
+    thetas.append((LinearPencil(c0, c1), 1, 3, 2))
     for theta, dim_y, dim_h, dim_u in thetas:
         got = check_biinner(theta, dim_y, dim_h, dim_u)
         want = loop_biinner(theta, dim_y, dim_h, dim_u)
         assert got.to_json_dict() == want.to_json_dict()
         boundary = theta_boundary_residuals(theta, unit_circle_grid(64))
         assert boundary.shape == (64,)
-    wheres = {check_biinner(*args).witness["where"] for args in thetas[-3:]}
+    assert check_biinner(*thetas[-1]).witness["where"] == "density-surrogate"
+    wheres = {check_biinner(*args).witness["where"] for args in thetas[-4:]}
     assert wheres == {"boundary", "density-surrogate"}
 
 
@@ -320,6 +339,185 @@ def test_compression_tower_sees_a_wrong_pencil(chains):
     assert report.worst_residual == pytest.approx(
         loop_tower_worst(chain.u, wrong, max_n=3, grid_size=8), abs=ROUND_OFF)
     assert not report.passed and set(report.witness) == {"n", "lambda"}
+
+
+def test_empty_grids_and_sample_sets_are_rejected(scalar_chain):
+    # a grid or sample set without points used to pass every check vacuously
+    u, wrong = scalar_chain.u, LinearPencil([[0.9]], [[0.0]])
+    assert not compression_tower(u, wrong, 3, grid_size=8).passed
+    for size in (0, -3):
+        with pytest.raises(ValueError):
+            compression_tower(u, wrong, 3, grid_size=size)
+        with pytest.raises(ValueError):
+            check_biinner(scalar_chain.theta, 1, 1, u.dim_u, grid_size=size)
+        with pytest.raises(ValueError):
+            outer_surrogate_check(scalar_chain.factor, size)
+        with pytest.raises(ValueError):
+            bauer_factorize(scalar_chain.gram, grid_size=size)
+        with pytest.raises(ValueError):
+            unitarity_report(u, count=size)
+
+
+# --- localisation -----------------------------------------------------------
+
+
+def test_unimodular_roots_of_a_scalar_symbol():
+    # R(lam) = 0.5 + cos(theta) vanishes at theta = 2 pi / 3 and 4 pi / 3
+    r0, r1 = np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]])
+    np.testing.assert_allclose(unimodular_roots(r0, r1),
+                               [2 * np.pi / 3, 4 * np.pi / 3], atol=1e-12)
+    # negative on (2 pi / 3, 4 pi / 3): grid points 3, 4, 5 of 8, padded by one
+    assert candidate_indices(r0, r1, 8).tolist() == [2, 3, 4, 5, 6]
+    assert candidate_indices(r0 + 2.0, r1, 8).size == 0  # definite, no roots
+    assert candidate_indices(r0 - 2.0, r1, 8).size == 8
+    # det R vanishes on the whole circle: the roots localise nothing
+    assert unimodular_roots(np.zeros((2, 2)), np.zeros((2, 2))) is None
+    assert unimodular_roots(np.diag([1.0, 0.0]), np.diag([0.3, 0.0])) is None
+
+
+def test_candidates_leave_out_most_of_a_corpus_pencil(corpus, all_chains):
+    # a silent fallback to the whole grid would still give the right answers
+    t, chain = corpus[3], all_chains[3]
+    gamma = spec_norms(evaluate_all(t, unit_circle_grid(256)[::16])).max()
+    a0, a1 = t.a0 / gamma, t.a1 / gamma
+    r0 = (1 - 1e-9) * np.eye(4) - a0.conj().T @ a0 - a1.conj().T @ a1
+    r1 = -a0.conj().T @ a1  # classify's question
+    assert unimodular_roots(r0, r1).size
+    assert 0 < candidate_indices(r0, r1, 256).size < 256
+    g, f = chain.gram, chain.factor
+    assert candidate_indices(g.r0 + 1e-12 * np.eye(4), g.c, 256).size < 256
+    assert rank_candidates(f.as_pencil(), f.dim_y, 1e-10, 256).size < 256
+    theta, dim_y = chain.theta, f.dim_y
+    corner = LinearPencil(theta.a0[dim_y:, 4:], theta.a1[dim_y:, 4:])
+    assert rank_candidates(corner, chain.u.dim_u, 1e-8, 64).size < 64
+
+
+GRID_SIZES = (8, 64, 256)
+FAMILIES = ("margin", "flat", "a1=0", "nilpotent", "0.5+0.5lam")
+MARGINS = (1e-2, 1e-4, 1e-6, 1e-8, 0.0)
+# Fixed cases of each family, (family, n, seed, margin, scale, k); every
+# failure the property below shrinks to is added here.
+FIXED_CASES = [
+    ("margin", 3, 0, 1e-2, 1.0, 0),
+    ("margin", 2, 1, 0.0, 1.0, 1),
+    ("margin", 4, 2, 1e-8, 1.3, 5),
+    ("flat", 3, 3, 1e-6, 1.0, 2),
+    ("flat", 4, 4, 0.0, 1.001, 3),
+    ("a1=0", 3, 5, 1e-4, 1.0, 4),
+    ("nilpotent", 4, 6, 1e-2, 1.0, 6),
+    ("0.5+0.5lam", 1, 0, 0.0, 1.0, 0),
+]
+
+
+def _gaussian(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _at_norm(a0, a1, norm):
+    """(a0, a1) scaled to ``norm`` on the 4096-point grid, which holds the
+    8, 64 and 256 point grids."""
+    peak = spec_norms(evaluate_all(LinearPencil(a0, a1), unit_circle_grid(4096))).max()
+    return (a0, a1) if peak == 0 else (norm / peak * a0, norm / peak * a1)
+
+
+def family_pencil(family, n, seed, margin):
+    rng = np.random.default_rng(seed)
+    if family == "0.5+0.5lam":
+        return LinearPencil([[0.5]], [[0.5]])
+    if family == "flat":
+        # a unitary block on half of H: flat norm, dim Y < dim H
+        half = (n + 1) // 2
+        a0 = np.zeros((n, n), dtype=complex)
+        a1 = np.zeros((n, n), dtype=complex)
+        a0[:half, :half] = _rotation(half, seed)
+        a0[half:, half:], a1[half:, half:] = _at_norm(
+            _gaussian(rng, n - half), _gaussian(rng, n - half), 1 - margin)
+    else:
+        a0, a1 = _gaussian(rng, n), _gaussian(rng, n)
+        if family == "a1=0":
+            a1 = np.zeros_like(a1)
+        if family == "nilpotent":
+            a0, a1 = np.triu(a0, 1), np.triu(a1, 1)
+        a0, a1 = _at_norm(a0, a1, 1 - margin)
+    w = _rotation(n, seed + 1)
+    return LinearPencil(w @ a0 @ w.conj().T, w @ a1 @ w.conj().T)
+
+
+def symbol(t):
+    """Coefficients of I - T^H T, contractive or not."""
+    a0, a1 = t.a0, t.a1
+    r0 = np.eye(t.shape[1]) - a0.conj().T @ a0 - a1.conj().T @ a1
+    return GramCoefficients(0.5 * (r0 + r0.conj().T), -a0.conj().T @ a1)
+
+
+def not_psd_message(g, grid_size, tol):
+    """The NotPSD message of ``bauer_factorize``, or None; with no doubling
+    step allowed it stops right after the scan."""
+    try:
+        bauer_factorize(g, tol=tol, max_iter=0, grid_size=grid_size)
+    except NotPSD as err:
+        return str(err)
+    except NoConvergence:
+        return None
+
+
+def singular_at(f, k):
+    """f with its coefficients changed so that F(exp(2 pi i k / 8)) loses a
+    row rank, at a point of every grid whose size is a multiple of 8."""
+    lam = np.exp(2j * np.pi * k / 8)
+    u = np.zeros((f.dim_y, 1))
+    u[0] = 1.0
+    f0 = f.f0 - u @ (u.T @ (f.f0 + lam * f.f1))
+    return FejerRieszFactor(f0, f.f1)
+
+
+def check_localised_decisions(family, n, seed, margin, scale, k):
+    t = family_pencil(family, n, seed, margin)
+    scaled = LinearPencil(scale * t.a0, scale * t.a1)
+    for grid_size in GRID_SIZES:
+        assert classify(scaled, grid_size) == loop_classify(scaled, grid_size)
+        for tol in (1e-12, 0.5):
+            assert (not_psd_message(symbol(scaled), grid_size, tol)
+                    == loop_not_psd_message(symbol(scaled), grid_size, tol))
+    try:
+        chain = canonical_chain(t)
+    except PencilError:  # at margin 0 the construction may stop by name
+        return
+    f = chain.factor
+    factors = [f]
+    if f.dim_y:
+        factors.append(singular_at(f, k))
+        if f.dim_y > 1:  # two equal rows: rank-deficient everywhere
+            factors.append(FejerRieszFactor(np.vstack([f.f0[:-1], f.f0[:1]]),
+                                            np.vstack([f.f1[:-1], f.f1[:1]])))
+    theta_args = (chain.theta, f.dim_y, n, chain.u.dim_u)
+    for grid_size in GRID_SIZES:
+        for tol in (1e-10, 0.5):
+            for factor in factors:
+                assert (outer_surrogate_check(factor, grid_size, tol)
+                        == loop_outer_surrogate(factor, grid_size, tol))
+            got = check_biinner(*theta_args, grid_size=grid_size, rank_tol=tol)
+            want = loop_biinner(*theta_args, grid_size=grid_size, rank_tol=tol)
+            assert got.to_json_dict() == want.to_json_dict()
+
+
+@st.composite
+def grid_cases(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    n = 1 if family == "0.5+0.5lam" else draw(st.integers(1, 5))
+    return (family, n, draw(st.integers(0, 2 ** 16)), draw(st.sampled_from(MARGINS)),
+            draw(st.sampled_from((1.0, 1.001, 1.3))), draw(st.integers(0, 7)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_cases())
+def test_localised_decisions_match_their_loops(case):
+    check_localised_decisions(*case)
+
+
+@pytest.mark.parametrize("case", FIXED_CASES, ids=str)
+def test_localised_decisions_match_their_loops_on_fixed_cases(case):
+    check_localised_decisions(*case)
 
 
 def test_pipeline_memory_stays_small():

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from pencildil import (ContainmentViolation, NotHermitian, NotPSD,
                        SubspaceBasis, numerical_rank, orthocomplement_within,
                        orthonormal_range, projector, psd_sqrt)
-from pencildil.linalg import spec_norm
+from pencildil.linalg import canonicalize_phases, spec_norm
 
 
 def complex_matrices(max_dim=4):
@@ -50,6 +50,33 @@ def test_canonical_phase_is_real_positive():
     i = int(np.argmax(np.abs(b.basis[:, 0])))
     val = b.basis[i, 0]
     assert abs(val.imag) < 1e-14 and val.real > 0
+
+
+def loop_canonicalize_phases(b):
+    """Reference: one column at a time."""
+    b = np.array(b, dtype=complex)
+    for j in range(b.shape[1]):
+        col = b[:, j]
+        i = int(np.argmax(np.abs(col)))
+        v = col[i]
+        if np.abs(v) > 0:
+            b[:, j] = col * (np.conj(v) / np.abs(v))
+    return b
+
+
+def test_canonicalize_phases_matches_the_column_loop_bitwise():
+    rng = np.random.default_rng(8)
+    cases = [np.zeros((3, 0)), np.zeros((0, 0)),
+             np.array([[-0.0 - 0.0j, 1.0], [0.0 - 0.0j, 2.0j]])]
+    for n in range(1, 9):
+        for k in range(1, 6):
+            for scale in (1e-200, 1.0, 1e200):
+                b = scale * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+                b[:, rng.random(k) < 0.3] = 0.0  # zero columns
+                b[:, rng.random(k) < 0.3] *= -0.0  # signed zeros
+                cases.append(b)
+    for b in cases:
+        assert canonicalize_phases(b).tobytes() == loop_canonicalize_phases(b).tobytes()
 
 
 def test_orthocomplement_simple():

@@ -3,8 +3,11 @@
 The set covers the 20 ``seeded_corpus()`` pipelines, the five demos, the
 scalar, empty-defect and boundary pencils at depths 0, 1 and 4, the
 falsifier pairs that end in the word table or the uniformity invariant,
-and self-falsifiers of the first corpus pencil of each dimension 1..4 at
-depths 6 and 7.  Keys are sorted and floats are written in full, so two
+self-falsifiers of the first corpus pencil of each dimension 1..4 at
+depths 6 and 7, and four hard valid pencils at n = 4 (dim Y < dim H,
+a1 = 0, nilpotent, margin 1e-6), each classified on grids of 8, 64 and
+256 points and run through the pipeline at depth 2; the first two have a
+flat norm, where localised grid decisions evaluate the whole grid.  Keys are sorted and floats are written in full, so two
 runs of the same code give byte-identical files and runs of two revisions
 can be compared line by line.
 
@@ -38,6 +41,40 @@ PENCILS = {
 }
 
 
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _at_margin(a0, a1, margin):
+    """(a0, a1) scaled to norm 1 - margin on a 16384-point grid."""
+    lams = np.exp(2j * np.pi * np.arange(16384) / 16384)[:, None, None]
+    scale = (1.0 - margin) / np.linalg.norm(a0 + lams * a1, 2, axis=(1, 2)).max()
+    return scale * a0, scale * a1
+
+
+def edge_pencils(n=4):
+    """Hard valid pencils on C^n, drawn from one fixed seed."""
+    rng = np.random.default_rng(4242)
+
+    def pair(k):
+        return [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                for _ in range(2)]
+
+    def rotated(a0, a1):
+        w = _unitary(rng, n)
+        return pd.LinearPencil(w @ a0 @ w.conj().T, w @ a1 @ w.conj().T)
+
+    half = n // 2
+    a0, a1 = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    a0[:half, :half] = _unitary(rng, half)  # isometric on half of H
+    a0[half:, half:], a1[half:, half:] = _at_margin(*pair(n - half), 0.05)
+    yield "dimY<dimH", rotated(a0, a1)
+    yield "a1=0", rotated(*_at_margin(pair(n)[0], np.zeros((n, n)), 0.05))
+    yield "nilpotent", rotated(*_at_margin(*(np.triu(a, 1) for a in pair(n)), 0.05))
+    yield "margin1e-6", pd.LinearPencil(*_at_margin(*pair(n), 1e-6))
+
+
 def _negated_head(v):
     """The non-uniform dilation with the head row of its core negated."""
     b0, b1 = v.core.a0.copy(), v.core.a1.copy()
@@ -66,6 +103,11 @@ def cases():
         yield f"falsifier-{label}-uni", lambda d1=d1, d2=d2: [
             pd.equivalence_falsifier(pd.build_unitary(d1), pd.build_unitary(d2),
                                      ZERO, depth=3)]
+    for label, t in edge_pencils():
+        for grid_size in (8, 64, 256):
+            yield f"edge-{label}-classify-g{grid_size}", \
+                lambda t=t, grid_size=grid_size: [pd.classify(t, grid_size)]
+        yield f"edge-{label}-d2", lambda t=t: pd.run_pipeline(t, 2)
     for n in range(1, 5):
         t = next(p for p in corpus if p.shape[0] == n)
         u = pd.canonical_chain(t).u
@@ -74,10 +116,19 @@ def cases():
                 lambda t=t, u=u, depth=depth: [pd.equivalence_falsifier(u, u, t, depth)]
 
 
+def _json(result) -> dict:
+    """A report's JSON, or a classification's in the same shape."""
+    if isinstance(result, pd.PencilClass):
+        return {"check": "classify", "pass": result.is_contractive,
+                "kind": result.kind.value, "certified": result.certified,
+                "margin": result.margin, "maxNormOnGrid": result.max_norm_on_grid}
+    return result.to_json_dict()
+
+
 def main(path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for label, run in cases():
-            reports = [r.to_json_dict() for r in run()]
+            reports = [_json(r) for r in run()]
             fh.write(json.dumps({"case": label, "reports": reports},
                                 sort_keys=True) + "\n")
 
