@@ -19,9 +19,8 @@ from .pencil import (LinearPencil, PencilClass, PencilKind, classify,
 from .reporting import Report
 from .unidil import (CoreSubspaces, QPencil, UnitaryDilation, assemble_theta,
                      build_q, build_unitary, check_biinner,
-                     check_minimality_unitary, check_uniform_unitary,
-                     coefficient_norms_unitary, compression_tower,
-                     core_subspaces, q_identity_defect)
+                     check_minimality_unitary, core_subspaces,
+                     q_identity_defect)
 from .verify import (CanonicalChain, DemoName, canonical_chain,
                      classical_slice, demo, equivalence_falsifier,
                      run_pipeline, seeded_corpus, unitarity_report)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeAlias
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from .pencil import LinearPencil, isometry_defect
 from .reporting import Report
 from .words import (Letters, closure, closure_bound, difference, grouped_sums,
                     span_rank)
+
+if TYPE_CHECKING:
+    from .unidil import UnitaryDilation
 
 _FACTOR_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -86,6 +90,10 @@ def build_canonical(t: LinearPencil,
         )
     return StructuredIsometricPencil(dim_y=f.dim_y, dim_h=t.shape[0],
                                      core_depth=0, core=core)
+
+
+# V or its unitary extension U; ``_facets`` tells them apart.
+Dilation: TypeAlias = "StructuredIsometricPencil | UnitaryDilation"
 
 
 class BuiltinExample(Enum):
@@ -144,15 +152,18 @@ def dense_coefficient(v: StructuredIsometricPencil, j: int,
     return m
 
 
-def coefficient_norms(v: StructuredIsometricPencil) -> tuple[float, float]:
-    """Operator norms of (V0, V1) on the full space.
+def coefficient_norms(d: Dilation) -> tuple[float, float]:
+    """Operator norms of the coefficients (V0, V1) or (U0, U1) on the full
+    space.
 
-    V0 is the orthogonal sum of the deep tail shift (norm 1 whenever Y is
-    nontrivial) and the core's constant coefficient; V1 acts through the
-    core's lambda coefficient only.
+    The constant coefficient is the orthogonal sum of the shifts (the deep
+    tail, and for U the future slots; norm 1 whenever one of them is
+    nontrivial) and the core block's constant coefficient; the lambda
+    coefficient acts through the core block only.
     """
-    shift = 1.0 if v.dim_y > 0 else 0.0
-    return max(shift, spec_norm(v.core.a0)), spec_norm(v.core.a1)
+    facets = _facets(d)
+    shift = 1.0 if facets.shifts else 0.0
+    return max(shift, spec_norm(facets.block.a0)), spec_norm(facets.block.a1)
 
 
 def word_letters(v: StructuredIsometricPencil, n_t: int,
@@ -167,67 +178,100 @@ def word_letters(v: StructuredIsometricPencil, n_t: int,
     return Letters.embedded(ops, tail_depth * v.dim_y, n_t)
 
 
-def _check_dilation_input(v: StructuredIsometricPencil, t: LinearPencil):
+class _Facets(NamedTuple):
+    dilation: str          # name of the dilation report
+    uniform: str           # name of the uniformity report
+    block: LinearPencil    # V's core C, or U's core block [C | Q]
+    shifts: bool           # whether a tail (or, for U, future) shift acts
+    letters: Callable      # word_letters or unidil.word_letters_unitary
+
+
+def _facets(d: Dilation) -> _Facets:
+    """The one place that tells a dilation V from its unitary extension U.
+
+    U's letters are its own, ``unidil.word_letters_unitary`` (imported here
+    because unidil imports this module), and its future slots shift too.
+    """
+    if isinstance(d, StructuredIsometricPencil):
+        return _Facets("dilation", "uniform", d.core, d.dim_y > 0, word_letters)
+    from .unidil import word_letters_unitary
+    return _Facets("compression-tower", "uniform-unitary", d.core_block,
+                   d.dim_y > 0 or d.dim_u > 0, word_letters_unitary)
+
+
+def dilation_letters(d: Dilation, n_t: int, length: int) -> Letters:
+    """Letters of V or of U on a window deep enough for words up to
+    ``length``, with T's space of dimension ``n_t`` as head."""
+    return _facets(d).letters(d, n_t, length)
+
+
+def _check_dilation_input(d: Dilation, t: LinearPencil):
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("dilated pencil must be square")
-    if t.shape[0] > v.dim_h:
+    if t.shape[0] > d.dim_h:
         raise DimensionMismatch("pencil space exceeds the dilation's head space")
 
 
-def check_dilation(v: StructuredIsometricPencil, t: LinearPencil,
-                   max_len: int = 6, tol: float = 1e-9) -> Report:
-    """Compare compressed symmetrized multipowers of V against those of T.
+def check_dilation(d: Dilation, t: LinearPencil, max_len: int = 6,
+                   tol: float = 1e-9) -> Report:
+    """Compare compressed symmetrized multipowers of V (or U) against T's.
 
     For every exponent pair (t0, t1) with t0 + t1 <= max_len the compressed
     multipower P_H V^(t0,t1)|H must equal T^(t0,t1); by multilinearity this
-    is the dilation identity for all circle parameters at once.  The
-    residuals of all exponent pairs are the norms of one ``spec_norms``
-    stack.
+    is the dilation identity P_H V(lam_1)...V(lam_n)|H = T(lam_1)...T(lam_n)
+    for all circle parameters at once, and so P_H V(lam)^n|H = T(lam)^n
+    holds for every lam as a polynomial identity.  The residuals of all
+    exponent pairs are the norms of one ``spec_norms`` stack.  For U the
+    multipowers are read from U's own letters, so the report,
+    ``compression-tower``, is the tower P_H U(lam)^n|H = T(lam)^n decided on
+    its coefficients; P_H U(lam)^{-n}|H = (P_H U(lam)^n|H)^* on the circle
+    needs no check of its own.
     """
-    _check_dilation_input(v, t)
-    sums = zip(grouped_sums(word_letters(v, t.shape[0], max_len), max_len),
+    _check_dilation_input(d, t)
+    facets = _facets(d)
+    sums = zip(grouped_sums(facets.letters(d, t.shape[0], max_len), max_len),
                grouped_sums(Letters.plain((t.a0, t.a1)), max_len))
     exponents, diffs = [], []
-    for length, (v_sums, t_sums) in enumerate(sums):
+    for length, (d_sums, t_sums) in enumerate(sums):
         w = np.array([math.comb(length, k) for k in range(length + 1)])[:, None, None]
-        diffs.append(v_sums / w - t_sums / w)
+        diffs.append(d_sums / w - t_sums / w)
         exponents += [[length - k, k] for k in range(length + 1)]
     worst, witness, details = 0.0, None, []
     for pair, resid in zip(exponents, spec_norms(np.concatenate(diffs)).tolist()):
         details.append({"t": pair, "residual": resid})
         if resid > worst:
             worst, witness = resid, {"t": list(pair)}
-    return Report.from_residual("dilation", worst, tol, witness, details)
+    return Report.from_residual(facets.dilation, worst, tol, witness, details)
 
 
-def uniform_report(check: str, letters: Letters, t: LinearPencil,
-                   max_len: int, tol: float, details=None) -> Report:
-    """Words of ``letters`` against T's.  A visited word that differs by more
-    than ``tol`` fails the report with the largest visited difference and
-    the first word reaching it, in product order ("01" = letter 0 times
-    letter 1); otherwise the residual is ``closure_bound``, which fails the
-    report without a witness if it exceeds ``tol``."""
-    pair = difference(letters, Letters.plain((t.a0, t.a1)))
-    word, worst = max(closure(*pair, max_len), key=lambda wd: wd[1],
-                      default=(None, 0.0))
-    if worst > tol:
-        return Report.from_residual(check, worst, tol, {"word": word[::-1]}, details)
-    return Report.from_residual(check, closure_bound(*pair, max_len), tol, None,
-                                details)
-
-
-def check_uniform(v: StructuredIsometricPencil, t: LinearPencil,
-                  max_len: int = 6, tol: float = 1e-9) -> Report:
-    """Compare every compressed ordered coefficient word against T's word.
+def check_uniform(d: Dilation, t: LinearPencil, max_len: int = 6,
+                  tol: float = 1e-9) -> Report:
+    """Compare every compressed ordered coefficient word of V (or U) against
+    T's word.
 
     Products over independent circle parameters expand multilinearly into
     ordered words, so matching all 2^n words of each length n <= max_len is
-    the uniform dilation property, decided by ``uniform_report``.
+    the uniform dilation property.  One ``closure`` over the difference of
+    the two letter sets visits the words that add to its span.  A visited
+    word that differs by more than ``tol`` fails the report with the
+    largest visited difference and the first word reaching it, in product
+    order ("01" = letter 0 times letter 1); otherwise the residual is
+    ``closure_bound``, which fails the report without a witness if it
+    exceeds ``tol``.  For U the words are U's own and the report is
+    ``uniform-unitary``.
     """
-    _check_dilation_input(v, t)
+    _check_dilation_input(d, t)
+    facets = _facets(d)
     details = [{"words_checked": sum(2 ** n for n in range(1, max_len + 1))}]
-    return uniform_report("uniform", word_letters(v, t.shape[0], max_len), t,
-                          max_len, tol, details)
+    pair = difference(facets.letters(d, t.shape[0], max_len),
+                      Letters.plain((t.a0, t.a1)))
+    word, worst = max(closure(*pair, max_len), key=lambda wd: wd[1],
+                      default=(None, 0.0))
+    if worst > tol:
+        return Report.from_residual(facets.uniform, worst, tol,
+                                    {"word": word[::-1]}, details)
+    return Report.from_residual(facets.uniform, closure_bound(*pair, max_len),
+                                tol, None, details)
 
 
 def check_minimality(v: StructuredIsometricPencil, t: LinearPencil,

@@ -234,7 +234,8 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     (1 - 1e-9) I - T^H T / gamma^2, the points where ||T||^2 may exceed
     gamma^2 (1 - 1e-9), join them.  The grid maximum lies among them, so
     the value is bitwise the one of the whole grid; a flat norm (isometric
-    blocks) or a1 = 0 makes every grid point a candidate.
+    blocks) or a1 = 0 makes every grid point a candidate.  A pencil whose
+    squared grid norm is near overflow is NONE without an isometry test.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -252,6 +253,12 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     rest[coarse] = False
     max_norm = float(spec_norms(evaluate_all(p, grid[rest])).max(initial=gamma))
 
+    if math.isinf(4.0 * max_norm * max_norm):
+        # ||a0^H a0 + a1^H a1|| <= max ||T||^2 < 4 max_grid ||T||^2 on a grid
+        # of 8 or more points, so the Gram of ``isometry_defect`` could
+        # overflow: the pencil is far from contractive and is not squared
+        return PencilClass(PencilKind.NONE, certified=False,
+                           margin=1.0 - max_norm, max_norm_on_grid=max_norm)
     if isometry_defect(p) <= tol:
         unitary = isometry_defect(LinearPencil(p.a0.conj().T, p.a1.conj().T)) <= tol
         kind = PencilKind.UNITARY if unitary else PencilKind.ISOMETRIC

@@ -13,7 +13,9 @@ As for V, the window letters ``dense_u_coefficient`` are the one
 description of how U acts.  A vector of K is a column of a window array
 [slot -t | ... | slot -1 | head | future 1 | ... | future f] (f = 0 for
 K+), and ``words.act`` applies U0 + lam U1 or its adjoint to a whole block
-of such columns, one lambda per column.
+of such columns, one lambda per column.  U's dilation (compression tower)
+and uniformity reports are ``isodil.check_dilation`` and
+``isodil.check_uniform`` on these letters.
 
 The block function theta(z) = [[F, P_Y Q], [T, P_H Q]] assembled from the
 canonical chain is linear, contractive on the disk and unitary on the
@@ -29,15 +31,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotIsometric, PencilError
 from .factorization import FejerRieszFactor
-from .isodil import (StructuredIsometricPencil, dense_coefficient,
-                     uniform_report, window_dim)
+from .isodil import StructuredIsometricPencil, dense_coefficient, window_dim
 from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
-                     orthonormal_range, projector, ranks, spec_norm,
-                     spec_norms)
+                     orthonormal_range, projector, ranks, spec_norms)
 from .pencil import (LinearPencil, evaluate_all, isometry_defect,
                      rank_candidates, unit_circle_grid)
 from .reporting import Report
-from .words import Letters, grouped_sums, span_rank
+from .words import Letters, span_rank
 
 _ISO_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -179,13 +179,6 @@ def build_unitary(v: StructuredIsometricPencil) -> UnitaryDilation:
     return UnitaryDilation(v=v, q=build_q(cores), cores=cores)
 
 
-def coefficient_norms_unitary(u: UnitaryDilation) -> tuple[float, float]:
-    """Operator norms of the coefficient operators (U0, U1) on all of K."""
-    shift = 1.0 if (u.dim_y > 0 or u.dim_u > 0) else 0.0
-    block = u.core_block
-    return max(shift, spec_norm(block.a0)), spec_norm(block.a1)
-
-
 def dense_u_coefficient(u: UnitaryDilation, j: int, tail_depth: int,
                         future_depth: int) -> np.ndarray:
     """Coefficient operator U_j on the window [K+ depth t | future 1..m].
@@ -223,16 +216,6 @@ def word_letters_unitary(u: UnitaryDilation, n_t: int, length: int) -> Letters:
     return Letters.embedded(ops, tail_depth * u.dim_y, n_t)
 
 
-def worst_index(resid: np.ndarray, worst: float) -> int | None:
-    """First index of the largest residual if it exceeds ``worst``, else None:
-    the witness a point-by-point scan with strict improvement would keep."""
-    if resid.size:
-        k = int(np.argmax(resid))
-        if resid[k] > worst:
-            return k
-    return None
-
-
 def q_identity_residuals(v: StructuredIsometricPencil, q: QPencil,
                          lams) -> np.ndarray:
     """Larger residual of I - V V^* = Q Q^* and V^* Q = 0 at each lambda.
@@ -265,60 +248,6 @@ def q_identity_defect(u: UnitaryDilation) -> float:
     block = u.core_block
     adjoint = LinearPencil(block.a0.conj().T, block.a1.conj().T)
     return max(isometry_defect(block), isometry_defect(adjoint))
-
-
-def check_uniform_unitary(u: UnitaryDilation, t: LinearPencil,
-                          max_len: int = 6, tol: float = 1e-9) -> Report:
-    """Every compressed ordered word in (U0, U1) must match T's word.
-
-    Decided by ``uniform_report``, as ``check_uniform`` is.
-    """
-    n_t = t.shape[0]
-    if t.shape[0] != t.shape[1] or n_t > u.dim_h:
-        raise DimensionMismatch("pencil does not fit the dilation's head space")
-    return uniform_report("uniform-unitary", word_letters_unitary(u, n_t, max_len),
-                          t, max_len, tol)
-
-
-def compression_tower(u: UnitaryDilation, t: LinearPencil, max_n: int = 6,
-                      grid_size: int = 32, tol: float = 1e-9) -> Report:
-    """P_H U(lam)^n |H = T(lam)^n and P_H U(lam)^{-n} |H = (T(lam)^n)^*.
-
-    P_H U(lam)^n |H is the sum over k of lam^k times the words of length n
-    with k letters U1, compressed to H: one ``grouped_sums`` pass over the
-    dense window of ``word_letters_unitary`` gives these coefficients for
-    every n <= max_n.  They are evaluated on the grid and compared with
-    T(lam)^n, and every (lam, n) is decided by one batched SVD.  The
-    backward half needs no pass of its own: U(lam)^{-1} = U(lam)^* on the
-    circle, so P_H U(lam)^{-n} |H = (P_H U(lam)^n |H)^*, and its residual
-    is the forward one.  The witness is the first (lam, n) in grid order,
-    then n, with the largest residual.  A ``grid_size`` below 1 raises
-    ValueError.
-    """
-    if grid_size < 1:
-        raise ValueError("grid_size must be at least 1")
-    n_t = t.shape[0]
-    if t.shape[0] != t.shape[1] or n_t > u.dim_h:
-        raise DimensionMismatch("pencil does not fit the dilation's head space")
-    grid = unit_circle_grid(grid_size)
-    sums = grouped_sums(word_letters_unitary(u, n_t, max_n), max_n)
-    next(sums)  # length 0: the identity on both sides
-    lam_powers = np.vander(grid, max_n + 1, increasing=True)
-    tv = evaluate_all(t, grid)
-    power = np.broadcast_to(np.eye(n_t, dtype=complex), tv.shape)
-    diff = np.empty((grid_size, max_n, n_t, n_t), dtype=complex)
-    for n, coeffs in enumerate(sums, start=1):
-        power = tv @ power
-        values = lam_powers[:, :n + 1] @ coeffs.reshape(n + 1, -1)
-        diff[:, n - 1] = values.reshape(tv.shape) - power
-    resid = spec_norms(diff)
-    worst, witness = 0.0, None
-    k = worst_index(resid.ravel(), worst)
-    if k is not None:
-        g, n = divmod(k, max_n)
-        worst = resid[g, n]
-        witness = {"n": n + 1, "lambda": [grid[g].real, grid[g].imag]}
-    return Report.from_residual("compression-tower", worst, tol, witness)
 
 
 def check_minimality_unitary(u: UnitaryDilation, t: LinearPencil,

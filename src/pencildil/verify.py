@@ -20,20 +20,20 @@ from .errors import NotADilation, NotContractive
 from .factorization import (FejerRieszFactor, GramCoefficients,
                             bauer_factorize, gram_coefficients,
                             outer_surrogate_check)
-from .isodil import (BuiltinExample, StructuredIsometricPencil,
+from .isodil import (BuiltinExample, Dilation, StructuredIsometricPencil,
                      build_canonical, builtin_example, check_dilation,
                      check_minimality, check_uniform, coefficient_norms,
-                     dense_coefficient, window_dim, word_letters)
+                     dense_coefficient, dilation_letters, window_dim,
+                     word_letters)
 from .linalg import spec_norm, spec_norms
 from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate_all,
                      isometry_defect, unit_circle_grid)
 from .reporting import Report
 from .unidil import (QPencil, UnitaryDilation, assemble_theta, build_q,
                      build_unitary, check_biinner, check_minimality_unitary,
-                     check_uniform_unitary, coefficient_norms_unitary,
-                     compression_tower, core_subspaces, dense_u_coefficient,
-                     q_identity_defect, word_letters_unitary, worst_index)
-from .words import Letters, act, closure, difference
+                     core_subspaces, dense_u_coefficient, q_identity_defect,
+                     word_letters_unitary)
+from .words import act, closure, difference
 
 CORPUS_SEED = 20240601
 
@@ -129,6 +129,13 @@ def _u_letters(u: UnitaryDilation, tail_depth: int, future_depth: int) -> tuple:
     return tuple(dense_u_coefficient(u, j, tail_depth, future_depth) for j in (0, 1))
 
 
+def _worst_index(resid: np.ndarray) -> int | None:
+    """First index of the largest residual if it is positive, else None:
+    the witness a sample-by-sample scan with strict improvement would keep."""
+    k = int(np.argmax(resid))
+    return k if resid[k] > 0.0 else None
+
+
 def _worst_column(block: np.ndarray) -> float:
     """Largest column norm of a block (0 for a block without columns)."""
     return float(np.linalg.norm(block, axis=0).max(initial=0.0))
@@ -156,7 +163,7 @@ def unitarity_report(u: UnitaryDilation, count: int = 50,
         np.linalg.norm(back - x, axis=0),
         np.linalg.norm(forth - x, axis=0),
     ])
-    k = worst_index(resid, 0.0)
+    k = _worst_index(resid)
     if k is None:
         return Report.from_residual("unitarity", 0.0, tol)
     witness = {"sample": k, "lambda": [float(lam[k].real), float(lam[k].imag)]}
@@ -174,7 +181,11 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     default).  ``rank_tol`` is the relative singular-value cutoff of the
     rank-based checks.  Hard errors propagate and stop the pipeline.
     ``factorization`` is the ``isometry_defect`` of the core [F; T]: it
-    bounds F^H F - (I - T^H T) on the whole circle.
+    bounds F^H F - (I - T^H T) on the whole circle.  ``dilation`` and
+    ``compression-tower`` are ``check_dilation`` on V and on U, and
+    ``uniform`` and ``uniform-unitary`` are ``check_uniform`` on V and on U:
+    each decides its identity on the coefficients, for every lambda at
+    once, from the letters of the object it names.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -207,8 +218,8 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     reports.append(Report.from_residual(
         "q-identities", q_identity_defect(chain.u), 1e-9))
     reports.append(unitarity_report(chain.u))
-    reports.append(compression_tower(chain.u, t, max_n=word_len, grid_size=32))
-    reports.append(check_uniform_unitary(chain.u, t, max_len=word_len))
+    reports.append(check_dilation(chain.u, t, max_len=word_len))
+    reports.append(check_uniform(chain.u, t, max_len=word_len))
     reports.append(check_minimality_unitary(chain.u, t, depth=depth,
                                             rank_tol=rank_tol))
     reports.append(Report.from_residual(
@@ -225,45 +236,23 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
 # Equivalence falsification
 # ---------------------------------------------------------------------------
 
-Dilation = StructuredIsometricPencil | UnitaryDilation
-
-
-def _structured_part(d: Dilation) -> StructuredIsometricPencil:
-    return d.v if isinstance(d, UnitaryDilation) else d
-
-
-def _word_letters(d: Dilation, n_t: int, max_len: int) -> Letters:
-    if isinstance(d, UnitaryDilation):
-        return word_letters_unitary(d, n_t, max_len)
-    return word_letters(d, n_t, max_len)
-
-
-def _uniformity_flag(d: Dilation, t: LinearPencil, depth: int) -> bool:
-    if isinstance(d, UnitaryDilation):
-        return check_uniform_unitary(d, t, max_len=depth).passed
-    return check_uniform(d, t, max_len=depth).passed
-
-
-def _coefficient_norms(d: Dilation) -> tuple[float, float]:
-    if isinstance(d, UnitaryDilation):
-        return coefficient_norms_unitary(d)
-    return coefficient_norms(d)
-
 
 def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
                           depth: int = 4, tol: float = 1e-9) -> Report:
     """Compare invariants preserved by unitary equivalence of dilations.
 
-    Checked in order: uniformity flags, coefficient operator norms, and
-    compressed words (fixed under equivalence because the intertwining
-    operator acts as the identity on H), compared by ``closure`` up to the
-    first visited word that differs by more than ``tol``.  Any difference
-    yields NOT_EQUIVALENT with the distinguishing invariant as witness;
-    otherwise the verdict is INCONCLUSIVE, never "equivalent".
+    Each object must first pass ``check_dilation`` on its own letters, else
+    NotADilation is raised.  Checked in order: uniformity flags,
+    coefficient operator norms, and compressed words (fixed under
+    equivalence because the intertwining operator acts as the identity on
+    H), compared by ``closure`` up to the first visited word that differs
+    by more than ``tol``.  Any difference yields NOT_EQUIVALENT with the
+    distinguishing invariant as witness; otherwise the verdict is
+    INCONCLUSIVE, never "equivalent".
     """
     n_t = t.shape[0]
     for label, d in (("first", d1), ("second", d2)):
-        rep = check_dilation(_structured_part(d), t, max_len=depth)
+        rep = check_dilation(d, t, max_len=depth)
         if not rep.passed:
             raise NotADilation(
                 f"{label} object is not a dilation of the pencil "
@@ -274,13 +263,13 @@ def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
         witness = {"verdict": "NOT_EQUIVALENT", "invariant": invariant, **detail}
         return Report.from_residual("equivalence-falsifier", 0.0, 0.0, witness)
 
-    flag1 = _uniformity_flag(d1, t, depth)
-    flag2 = _uniformity_flag(d2, t, depth)
+    flag1 = check_uniform(d1, t, max_len=depth).passed
+    flag2 = check_uniform(d2, t, max_len=depth).passed
     if flag1 != flag2:
         return verdict("uniformity", {"first": flag1, "second": flag2})
 
-    norms1 = _coefficient_norms(d1)
-    norms2 = _coefficient_norms(d2)
+    norms1 = coefficient_norms(d1)
+    norms2 = coefficient_norms(d2)
     for idx in (0, 1):
         if abs(norms1[idx] - norms2[idx]) > tol:
             return verdict("coefficient-norm", {
@@ -289,7 +278,7 @@ def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
                 "second": norms2[idx],
             })
 
-    a, b = (_word_letters(d, n_t, depth) for d in (d1, d2))
+    a, b = (dilation_letters(d, n_t, depth) for d in (d1, d2))
     if isinstance(d1, UnitaryDilation) and isinstance(d2, UnitaryDilation):
         a, b = a.with_adjoints(), b.with_adjoints()
     for word, diff in closure(*difference(a, b), depth):
@@ -364,14 +353,14 @@ def _demo_two_sided_shift() -> list[Report]:
     resid = max(_worst_column(act(ops, lam, e_head) - e_minus1),
                 _worst_column(act(ops, lam, e_fut1) - e_head),
                 _worst_column(act(ops, lam, e_head, adjoint=True) - e_fut1))
-    n0, n1 = coefficient_norms_unitary(u)
+    n0, n1 = coefficient_norms(u)
     out = [
         Report.from_residual("two-sided-shift/bilateral-pattern", resid, 1e-12),
         Report.from_residual("two-sided-shift/lambda-independent", n1, 1e-12),
         Report.from_residual("two-sided-shift/shift-norm", abs(n0 - 1.0), 1e-12),
     ]
     out.append(check_minimality_unitary(u, t, depth=4))
-    out.append(check_uniform_unitary(u, t, max_len=4))
+    out.append(check_uniform(u, t, max_len=4))
     return out
 
 
@@ -388,7 +377,7 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
     expected = np.zeros_like(x)
     expected[:kdim] = act(v_ops, lam, x[:kdim])
     ext = _worst_column(act(_u_letters(u, depth, future), lam, x) - expected)
-    n0, n1 = coefficient_norms_unitary(u)
+    n0, n1 = coefficient_norms(u)
     falsify = equivalence_falsifier(u, classical, t, depth=3)
     witness = falsify.witness or {}
     out = [
@@ -397,7 +386,7 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
                              abs(n1 - 1.0), 1e-12),
         unitarity_report(u, count=20),
         check_minimality_unitary(u, t, depth=4),
-        check_uniform_unitary(u, t, max_len=4),
+        check_uniform(u, t, max_len=4),
         _expect_flag(
             "lambda-two-sided-shift/not-equivalent-to-classical",
             witness.get("verdict") == "NOT_EQUIVALENT"
@@ -463,7 +452,7 @@ def _demo_non_uniform_uni() -> list[Report]:
     resid = _worst_column(got - expected)
     w = act(letters.ops, -1.0, act(letters.ops, 1.0, letters.start))
     witness_resid = abs(w[head, 0] + 1.0) + abs(np.linalg.norm(w) - 1.0)
-    uniform = check_uniform_unitary(u, t, max_len=4)
+    uniform = check_uniform(u, t, max_len=4)
     classical = _shift_chain().u
     lambda_u = build_unitary(builtin_example(BuiltinExample.LAMBDA_SHIFT))
     f1 = equivalence_falsifier(u, classical, t, depth=3)
@@ -472,7 +461,7 @@ def _demo_non_uniform_uni() -> list[Report]:
     return [
         unitarity_report(u, count=20),
         Report.from_residual("non-uniform-uni/extension-column", resid, 1e-12),
-        compression_tower(u, t, max_n=6, grid_size=16),
+        check_dilation(u, t, max_len=6),
         check_minimality_unitary(u, t, depth=4),
         Report.from_residual("non-uniform-uni/uniformity-witness", witness_resid,
                              1e-12, {"identity": "P_H U(-1)U(1)h = -h"}),

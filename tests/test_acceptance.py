@@ -96,12 +96,12 @@ def test_criterion_4_unitary_extension_identities(corpus, all_chains):
 def test_criterion_5_dilation_tower(corpus, all_chains):
     worst = 0.0
     for t, chain in zip(corpus, all_chains):
-        worst = max(worst, pd.compression_tower(
-            chain.u, t, max_n=6, grid_size=32).worst_residual)
-        worst = max(worst, pd.check_uniform_unitary(
+        worst = max(worst, pd.check_dilation(
+            chain.u, t, max_len=6).worst_residual)
+        worst = max(worst, pd.check_uniform(
             chain.u, t, max_len=6).worst_residual)
     ok = worst <= 1e-9
-    _record(5, "compression tower n<=6 (both power signs) + all ordered words",
+    _record(5, "compression tower n<=6 on U's coefficients + all ordered words",
             ok, f"worst residual {worst:.2e}")
 
 
@@ -158,7 +158,7 @@ def test_criterion_8_classical_reductions(corpus):
 
 
 def coefficient_norm_1(u):
-    return pd.coefficient_norms_unitary(u)[1]
+    return pd.coefficient_norms(u)[1]
 
 
 def test_criterion_9_unitary_examples_and_falsifiers():
@@ -167,7 +167,7 @@ def test_criterion_9_unitary_examples_and_falsifiers():
     u_prime = pd.build_unitary(lam_shift)
     # the lambda carrying coefficient is present with norm one and the
     # construction extends the lambda-shift exactly
-    n0, n1 = pd.coefficient_norms_unitary(u_prime)
+    n0, n1 = pd.coefficient_norms(u_prime)
     pattern_ok = abs(n1 - 1.0) <= 1e-12 and abs(n0 - 1.0) <= 1e-12
     # window [slot -2 | slot -1 | head | future 1 | future 2]
     ops = tuple(dense_u_coefficient(u_prime, j, 2, 2) for j in (0, 1))
@@ -185,7 +185,7 @@ def test_criterion_9_unitary_examples_and_falsifiers():
                 and w2["invariant"] == "uniformity")
     u_tilde = pd.build_unitary(vt)
     minimal = pd.check_minimality_unitary(u_tilde, ZERO, depth=4).passed
-    uniform = pd.check_uniform_unitary(u_tilde, ZERO, max_len=4).passed
+    uniform = pd.check_uniform(u_tilde, ZERO, max_len=4).passed
     ok = pattern_ok and fals1_ok and fals2_ok and minimal and not uniform
     _record(9, "lambda-shift extension pattern, falsifier witnesses, "
                "U-tilde minimal but not uniform", ok)

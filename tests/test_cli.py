@@ -92,6 +92,18 @@ def test_dilate_noncontractive_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_huge_pencil_is_not_contractive_exit_1(tmp_path, capsys, scale):
+    # a valid input: not "input error" (exit 2) from an overflowed Gram
+    rng = np.random.default_rng(160)
+    path = write_pencil(tmp_path, "huge.json", scale * rng.standard_normal((3, 3)),
+                        scale * rng.standard_normal((3, 3)))
+    assert main(["classify", path]) == 1
+    assert capsys.readouterr().out.startswith("not contractive")
+    assert main(["verify", path]) == 1
+    assert "pipeline requires a contractive pencil" in capsys.readouterr().err
+
+
 def test_verify_json_round_trips(capsys, scalar_file):
     assert main(["verify", scalar_file, "--json"]) == 0
     reports = [Report.from_json_dict(d)

@@ -6,10 +6,11 @@ factorization, the outer surrogate and the biinner report must agree
 exactly: the batched LAPACK calls see the same matrices, and localisation
 only leaves out grid points that cannot change an answer (isometry and
 theta's boundary unitarity are decided on the coefficients by
-``isometry_defect`` in both).  The Q
-identities and the compression tower are computed on smaller (exactly
-equivalent) matrices and agree to round-off; their references act slot by
-slot through ``slot_oracle``, never through the window letters.
+``isometry_defect`` in both).  The Q identities are computed on smaller
+(exactly equivalent) matrices and agree to round-off, and the coefficients
+the compression tower decides on, summed against powers of lambda, match
+the tower at each lambda; both references act slot by slot through
+``slot_oracle``, never through the window letters.
 """
 
 import math
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from pencildil import (FejerRieszFactor, GramCoefficients, LinearPencil,
                        NoConvergence, NotPSD, PencilError, Report,
                        bauer_factorize, canonical_chain, check_biinner,
-                       classify, compression_tower, evaluate_all,
+                       check_dilation, classify, evaluate_all,
                        isometry_defect, outer_surrogate_check, run_pipeline,
                        seeded_corpus, unitarity_report)
 from pencildil.factorization import factorization_residuals
@@ -32,7 +33,9 @@ from pencildil.linalg import numerical_rank, ranks, spec_norm, spec_norms
 from pencildil.pencil import (PencilClass, PencilKind, candidate_indices,
                               evaluate, rank_candidates, unimodular_roots,
                               unit_circle_grid)
-from pencildil.unidil import q_identity_residuals, theta_boundary_residuals
+from pencildil.unidil import (q_identity_residuals, theta_boundary_residuals,
+                              word_letters_unitary)
+from pencildil.words import grouped_sums
 from slot_oracle import column, u_act, u_adjoint, v_act
 
 ROUND_OFF = 1e-15
@@ -316,15 +319,21 @@ def test_q_identity_residuals_match_window_loop(chains):
 
 
 def test_compression_tower_matches_structured_loop(pencils, chains):
+    # the tower is decided on the coefficients of P_H U(lam)^n|H; summed
+    # against the powers of lam they give the slot oracle's tower
     for t, chain in zip(pencils, chains):
-        got = compression_tower(chain.u, t, max_n=4, grid_size=8)
-        want = loop_tower_worst(chain.u, t, max_n=4, grid_size=8)
-        assert abs(got.worst_residual - want) <= ROUND_OFF
-        assert got.passed
+        n_t = t.shape[0]
+        coeffs = list(grouped_sums(word_letters_unitary(chain.u, n_t, 4), 4))
+        for lam in unit_circle_grid(8):
+            for n, (_, fwd, _) in enumerate(oracle_tower(chain.u, t, lam, 4), 1):
+                got = np.tensordot(lam ** np.arange(n + 1), coeffs[n], axes=1)
+                assert spec_norm(got - fwd) <= ROUND_OFF
+        report = check_dilation(chain.u, t, max_len=4)
+        assert report.check == "compression-tower" and report.passed
 
 
 def test_backward_tower_is_the_adjoint_of_the_forward_tower(chains):
-    # compression_tower decides U^{-n} by P_H U^{-n}|H = (P_H U^n|H)^*
+    # check_dilation(u, ...) needs no backward tower: P_H U^{-n}|H = (P_H U^n|H)^*
     for chain in chains:
         for lam in unit_circle_grid(8):
             for _, fwd, bwd in oracle_tower(chain.u, chain.pencil, lam, 4):
@@ -335,19 +344,21 @@ def test_compression_tower_sees_a_wrong_pencil(chains):
     chain = chains[1]
     t = chain.pencil
     wrong = LinearPencil(t.a0, t.a1 + 1e-6)
-    report = compression_tower(chain.u, wrong, max_n=3, grid_size=8)
-    assert report.worst_residual == pytest.approx(
-        loop_tower_worst(chain.u, wrong, max_n=3, grid_size=8), abs=ROUND_OFF)
-    assert not report.passed and set(report.witness) == {"n", "lambda"}
+    report = check_dilation(chain.u, wrong, max_len=3)
+    assert not report.passed and set(report.witness) == {"t"}
+    resid = {tuple(d["t"]): d["residual"] for d in report.details}
+    assert report.worst_residual == resid[tuple(report.witness["t"])]
+    # P_H U^n|H - T^n = sum_k lam^k C(n, k) (multipower difference (n-k, k)),
+    # so the coefficient residuals bound the oracle's tower at every lambda
+    bound = max(sum(math.comb(n, k) * resid[n - k, k] for k in range(n + 1))
+                for n in range(1, 4))
+    assert 0.0 < loop_tower_worst(chain.u, wrong, max_n=3, grid_size=8) <= bound
 
 
 def test_empty_grids_and_sample_sets_are_rejected(scalar_chain):
     # a grid or sample set without points used to pass every check vacuously
-    u, wrong = scalar_chain.u, LinearPencil([[0.9]], [[0.0]])
-    assert not compression_tower(u, wrong, 3, grid_size=8).passed
+    u = scalar_chain.u
     for size in (0, -3):
-        with pytest.raises(ValueError):
-            compression_tower(u, wrong, 3, grid_size=size)
         with pytest.raises(ValueError):
             check_biinner(scalar_chain.theta, 1, 1, u.dim_u, grid_size=size)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pencildil import (CapExceeded, LinearPencil, PencilKind, ShapeMismatch,
-                       classify, evaluate, evaluate_all, isometry_defect,
-                       symmetrized_multipower, unit_circle_grid)
+from pencildil import (CapExceeded, LinearPencil, NotContractive, PencilKind,
+                       ShapeMismatch, classify, evaluate, evaluate_all,
+                       isometry_defect, run_pipeline, symmetrized_multipower,
+                       unit_circle_grid)
 from pencildil.isodil import BuiltinExample, builtin_example
 from pencildil.linalg import adjoints, spec_norm, spec_norms
 from pencildil.words import Letters
@@ -64,6 +66,27 @@ def test_classify_norm_exceeds_one():
     verdict = classify(LinearPencil([[0.8]], [[0.5]]))
     assert verdict.kind is PencilKind.NONE
     assert abs(verdict.max_norm_on_grid - 1.3) < 1e-12
+
+
+def huge_pencil(scale):
+    """A Gaussian 3 x 3 pair scaled so far that a0^H a0 overflows."""
+    rng = np.random.default_rng(160)
+    return LinearPencil(scale * rng.standard_normal((3, 3)),
+                        scale * rng.standard_normal((3, 3)))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_classify_huge_pencil_is_not_contractive(scale):
+    # used to raise LinAlgError (SVD did not converge) on the overflowed Gram
+    p = huge_pencil(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = classify(p)
+    assert verdict.kind is PencilKind.NONE and not verdict.certified
+    assert verdict.max_norm_on_grid > scale
+    assert verdict.margin == 1.0 - verdict.max_norm_on_grid
+    with pytest.raises(NotContractive):
+        run_pipeline(p)
 
 
 def test_classify_isometric_rectangular():

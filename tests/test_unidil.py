@@ -8,12 +8,12 @@ from pencildil import (BuiltinExample, FejerRieszFactor, LinearPencil,
                        StructuredIsometricPencil, UnitaryDilation,
                        assemble_theta, bauer_factorize, build_canonical,
                        build_unitary, builtin_example, canonical_chain,
-                       check_biinner, check_minimality_unitary,
-                       check_uniform_unitary, classify, coefficient_norms_unitary,
-                       compression_tower, core_subspaces, gram_coefficients,
-                       isometry_defect, q_identity_defect, run_pipeline,
-                       unit_circle_grid, unitarity_report)
-from pencildil import verify
+                       check_biinner, check_dilation, check_minimality_unitary,
+                       check_uniform, classify, coefficient_norms,
+                       core_subspaces, gram_coefficients, isometry_defect,
+                       q_identity_defect, run_pipeline, unit_circle_grid,
+                       unitarity_report)
+from pencildil import unidil, verify
 from pencildil.isodil import dense_coefficient, window_dim
 from pencildil.linalg import spec_norm
 from pencildil.unidil import dense_u_coefficient, q_identity_residuals
@@ -235,13 +235,27 @@ def test_inverse_word_difference_formula(scalar_chain):
 def test_bilateral_shift_pattern():
     chain = canonical_chain(ZERO)
     u = chain.u
-    n0, n1 = coefficient_norms_unitary(u)
+    n0, n1 = coefficient_norms(u)
     assert n1 == 0.0 and abs(n0 - 1.0) < 1e-15
     # window [slot -2 | slot -1 | head | future 1 | future 2]
     out = act(u_letters(u, 2, 2), 1j, np.eye(5)[:, 3])
     assert abs(out[2] - 1.0) < 1e-15 and not np.any(out[3:])
     report = check_minimality_unitary(u, ZERO, depth=4)
     assert report.passed and report.witness == {"rank": 9, "expected": 9}
+
+
+def test_coefficient_norms_are_the_norms_of_the_letters(all_chains):
+    # on a window deep enough for a shift block, each letter is the
+    # orthogonal sum of the shifts and the core block: C for V, [C | Q] for U
+    for chain in all_chains[:6] + [canonical_chain(ZERO)]:
+        u, v = chain.u, chain.v
+        for d, ops in ((v, [dense_coefficient(v, j, 3) for j in (0, 1)]),
+                       (u, u_letters(u, 3, 3))):
+            norms = coefficient_norms(d)
+            assert norms == pytest.approx([spec_norm(op) for op in ops], abs=1e-14)
+    # Q1 adds to the lambda coefficient of U on the corpus
+    assert all(coefficient_norms(c.u)[1] > coefficient_norms(c.v)[1] + 1e-3
+               for c in all_chains[:6])
 
 
 def test_degenerate_extension_unitary_input():
@@ -272,8 +286,32 @@ def test_minimality_unitary_corpus_and_padded(corpus, all_chains):
 
 def test_uniform_words_and_tower(corpus, all_chains):
     for t, chain in zip(corpus[:4], all_chains[:4]):
-        assert check_uniform_unitary(chain.u, t, max_len=4).passed
-        assert compression_tower(chain.u, t, max_n=4, grid_size=8).passed
+        uniform = check_uniform(chain.u, t, max_len=4)
+        tower = check_dilation(chain.u, t, max_len=4)
+        assert uniform.check == "uniform-unitary" and uniform.passed
+        assert tower.check == "compression-tower" and tower.passed
+
+
+def test_compression_tower_reads_the_letters_of_u(monkeypatch, all_chains):
+    # A head -> future 1 block in U0 makes U no extension of V: a forward
+    # word of U now enters the future slots and comes back through Q.  The
+    # tower reads U's own letters, so it fails while V's dilation passes.
+    exact = unidil.dense_u_coefficient
+
+    def leaking(u, j, tail_depth, future_depth):
+        m = exact(u, j, tail_depth, future_depth)
+        if j == 0:
+            kdim = window_dim(u.v, tail_depth)
+            m[kdim:kdim + u.dim_u, kdim - u.dim_h:kdim] = 0.5
+        return m
+
+    monkeypatch.setattr(unidil, "dense_u_coefficient", leaking)
+    chain = all_chains[2]
+    t = chain.pencil
+    assert check_dilation(chain.v, t).passed
+    tower = check_dilation(chain.u, t)
+    assert tower.check == "compression-tower" and not tower.passed
+    assert sum(tower.witness["t"]) >= 2  # one step cannot return from future 1
 
 
 def test_theta_shift_case_is_identity():
