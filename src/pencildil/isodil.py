@@ -229,7 +229,8 @@ def check_dilation(d: Dilation, t: LinearPencil, max_len: int = 6,
     """
     _check_dilation_input(d, t)
     facets = _facets(d)
-    sums = zip(grouped_sums(facets.letters(d, t.shape[0], max_len), max_len),
+    letters = facets.letters(d, t.shape[0], max_len).trimmed()
+    sums = zip(grouped_sums(letters, max_len),
                grouped_sums(Letters.plain((t.a0, t.a1)), max_len))
     exponents, diffs = [], []
     for length, (d_sums, t_sums) in enumerate(sums):
@@ -274,25 +275,86 @@ def check_uniform(d: Dilation, t: LinearPencil, max_len: int = 6,
                                 tol, None, details)
 
 
-def check_minimality(v: StructuredIsometricPencil, t: LinearPencil,
-                     depth: int = 5, rank_tol: float = _RANK_TOL) -> Report:
-    """Span criterion for minimality at finite depth.
+def minimality_report(name: str, depth_key: str, d: Dilation,
+                      letters_to: Callable[[int], Letters], setup: int,
+                      future_dim: int, depth: int | None,
+                      rank_tol: float) -> Report:
+    """Deficit dim W_D - dim(S_L n W_D) of a minimality check of V or U.
 
-    The span of all coefficient words of length <= depth applied to a basis
-    of H, projected onto the window (slots -depth..-1, full head), must have
-    numerical rank depth*dimY + dimH.  An untouched line adjoined to the
-    dilation space shows up as a rank deficit.  The span is closed level by
-    level with ``span_rank``, so the words are never stacked side by side.
+    W_D is the window of tail slots -D..-1, the head and future slots 1..D
+    of dimension ``future_dim`` (0 for V).  S_L is the span of the words of
+    length <= L = D + ``setup`` applied to H, in ``letters_to(L)``, and
+    ``span_rank`` gives dim(S_L n W_D).  ``depth`` is D, by default the
+    certifying depth core_depth + 1; a negative depth raises ValueError.
+
+    From the certifying depth on, a pass at one depth is a pass at every
+    deeper one (the induction of ``check_minimality`` and
+    ``unidil.check_minimality_unitary``), so any depth D >= core_depth + 1
+    is decided at the certifying depth: a pass there is the pass at D,
+    with rank dim W_D, and only a deficit there is found again at D
+    itself.  A failure is therefore always a deficit at D.  The details
+    name D under ``depth_key``, its ``word_cap`` L, the depth the verdict
+    was decided at, and whether a pass holds at every depth
+    (``every_depth``, true iff D >= core_depth + 1); they also carry both
+    ranks of the decided containment and the singular-value gap of each of
+    its rank cuts.
     """
+    certifying = d.core_depth + 1
+    if depth is None:
+        depth = certifying
     if depth < 0:
         raise ValueError("minimality depth must be nonnegative")
+
+    def size(window_depth):
+        return window_depth * (d.dim_y + future_dim) + d.dim_h
+
+    for decided in sorted({min(depth, certifying), depth}):
+        letters = letters_to(decided + setup)
+        top = letters.head.start
+        window = slice(top - decided * d.dim_y,
+                       top + d.dim_h + decided * future_dim)
+        found = span_rank(letters, decided + setup, window, rank_tol)
+        deficit = size(decided) - found.dim
+        if not deficit:
+            break
+    expected = size(depth)
+    rank = expected - deficit
+    details = {depth_key: depth, "word_cap": depth + setup, "rank": rank,
+               "expected": expected, "every_depth": depth >= certifying,
+               "decided_depth": decided, "span_rank": found.span_rank,
+               "outside_rank": found.outside_rank,
+               "span_gap": list(found.span_gap),
+               "outside_gap": list(found.outside_gap)}
+    return Report.from_residual(name, float(deficit), 0.0,
+                                witness={"rank": rank, "expected": expected},
+                                details=[details])
+
+
+def check_minimality(v: StructuredIsometricPencil, t: LinearPencil,
+                     depth: int | None = None,
+                     rank_tol: float = _RANK_TOL) -> Report:
+    """Minimality of V, decided at every depth by one containment.
+
+    Let S_L be the span of the words of length <= L in V0, V1 applied to H
+    and W_D the window of tail slots -D..-1 and the head.  The report
+    passes when W_D lies in S_D: its residual is the deficit
+    dim W_D - dim(S_D n W_D), found by ``minimality_report``.
+
+    A pass at depth D >= core_depth + 1 holds at every depth.  Tail slot
+    -D is then a shift slot: V0 moves slot -D identically onto slot
+    -(D+1) and V1 is zero there.  So a vector y in slot -(D+1) is V0 of y
+    in slot -D, a vector of W_D in S_D, and lies in V0 S_D, inside
+    S_{D+1}; with W_D in S_D this gives W_{D+1} in S_{D+1}.  By induction
+    every finitely supported vector of K+ lies in the span of the words on
+    H, which is therefore dense: V is minimal.  ``depth`` (the window depth
+    D, nonnegative, else ValueError) defaults to this certifying depth
+    core_depth + 1, every deeper depth is decided there, and the details
+    say whether a pass holds at every depth.  A failure is a deficit of W_D
+    in S_D at that depth only.  An untouched line adjoined to the dilation
+    space fails at every depth.
+    """
     _check_dilation_input(v, t)
-    window = slice((v.core_depth + 1) * v.dim_y, None)  # slots -depth.. of the tail
-    rank = span_rank(word_letters(v, t.shape[0], depth), depth, window, rank_tol)
-    expected = depth * v.dim_y + v.dim_h
-    deficit = float(expected - rank)
-    return Report.from_residual(
-        "minimality", deficit, 0.0,
-        witness={"rank": rank, "expected": expected},
-        details=[{"window_depth": depth, "rank": rank, "expected": expected}],
-    )
+    return minimality_report(
+        "minimality", "window_depth", v,
+        lambda cap: word_letters(v, t.shape[0], cap), setup=0, future_dim=0,
+        depth=depth, rank_tol=rank_tol)

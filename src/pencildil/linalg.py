@@ -55,6 +55,13 @@ def spec_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values in decreasing order; none for an empty matrix."""
+    if m.size == 0:
+        return np.zeros(0)
+    return np.linalg.svd(m, compute_uv=False)
+
+
 def spec_norms(stack) -> np.ndarray:
     """Spectral norm of each matrix of a (G, m, n) stack, by one batched SVD.
 

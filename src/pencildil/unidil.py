@@ -31,13 +31,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotIsometric, PencilError
 from .factorization import FejerRieszFactor
-from .isodil import StructuredIsometricPencil, dense_coefficient, window_dim
+from .isodil import (StructuredIsometricPencil, _check_dilation_input,
+                     dense_coefficient, minimality_report, window_dim)
 from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
                      orthonormal_range, projector, ranks, spec_norms)
 from .pencil import (LinearPencil, evaluate_all, isometry_defect,
                      rank_candidates, unit_circle_grid)
 from .reporting import Report
-from .words import Letters, span_rank
+from .words import Letters
 
 _ISO_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -251,34 +252,36 @@ def q_identity_defect(u: UnitaryDilation) -> float:
 
 
 def check_minimality_unitary(u: UnitaryDilation, t: LinearPencil,
-                             depth: int = 4, rank_tol: float = _RANK_TOL) -> Report:
-    """Two-sided span criterion at finite depth.
+                             depth: int | None = None,
+                             rank_tol: float = _RANK_TOL) -> Report:
+    """Minimality of U, decided at every depth by one containment.
 
-    The span of all words over {U0, U1, U0^*, U1^*} applied to a basis of H
-    must fill the window (slots -depth..-1, head, future 1..depth).  Deep
-    cores need a setup step before future slots can be reached, so words
-    run up to length depth + core_depth + 1 (the ``word_cap`` detail).  The
-    span is closed level by level with ``span_rank``, never stacking the
-    4^length words side by side.
+    Let S_L be the span of the words of length <= L over {U0, U1, U0^*,
+    U1^*} applied to H and W_D the window of tail slots -D..-1, the head
+    and future slots 1..D.  The report passes when W_D lies in S_L for the
+    word cap L = D + core_depth + 1 (the ``word_cap`` detail; deep cores
+    need a setup step before future slots can be reached): its residual is
+    the deficit dim W_D - dim(S_L n W_D), found by ``minimality_report``.
+
+    A pass at depth D >= core_depth + 1 holds at every depth.  Tail slot
+    -D is then a shift slot: U0 moves it identically onto slot -(D+1) and
+    U1 is zero there.  Future slot D >= 1 shifts too: U0^* moves it
+    identically onto future slot D+1 and U1^* is zero there.  So both new
+    slots of W_{D+1} lie in U0 S_L + U0^* S_L, inside S_{L+1}, and W_D in
+    S_L gives W_{D+1} in S_{L+1}.  By induction every finitely supported
+    vector of K lies in the span of the words on H, which is therefore
+    dense: U is minimal.  ``depth`` (the window depth D, nonnegative, else
+    ValueError) defaults to this certifying depth core_depth + 1, every
+    deeper depth is decided there, and the details say whether a pass
+    holds at every depth.  A failure is a deficit of W_D in S_L at that
+    depth only.
     """
-    if depth < 0:
-        raise ValueError("minimality depth must be nonnegative")
-    n_t = t.shape[0]
-    if t.shape[0] != t.shape[1] or n_t > u.dim_h:
-        raise DimensionMismatch("pencil does not fit the dilation's head space")
-    cap = depth + u.core_depth + 1
-    kdim = window_dim(u.v, cap + u.core_depth + 1)  # the letters' K+ part
-    window = slice(kdim - depth * u.dim_y - u.dim_h, kdim + depth * u.dim_u)
-    letters = word_letters_unitary(u, n_t, cap).with_adjoints()
-    rank = span_rank(letters, cap, window, rank_tol)
-    expected = depth * u.dim_y + u.dim_h + depth * u.dim_u
-    deficit = float(expected - rank)
-    return Report.from_residual(
-        "minimality-unitary", deficit, 0.0,
-        witness={"rank": rank, "expected": expected},
-        details=[{"depth": depth, "word_cap": cap, "rank": rank,
-                  "expected": expected}],
-    )
+    _check_dilation_input(u, t)
+    return minimality_report(
+        "minimality-unitary", "depth", u,
+        lambda cap: word_letters_unitary(u, t.shape[0], cap).with_adjoints(),
+        setup=u.core_depth + 1, future_dim=u.dim_u, depth=depth,
+        rank_tol=rank_tol)
 
 
 def assemble_theta(t: LinearPencil, f: FejerRieszFactor,

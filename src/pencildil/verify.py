@@ -178,8 +178,12 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     ``depth`` (nonnegative, else ValueError) drives the span checks:
     ordered-word checks run to length depth + 2, the isometric minimality
     window is depth + 1 and the unitary one is depth (6 / 5 / 4 at the
-    default).  ``rank_tol`` is the relative singular-value cutoff of the
-    rank-based checks.  Hard errors propagate and stop the pipeline.
+    default).  A minimality window at least core_depth + 1 deep is decided
+    at that certifying depth, whatever its own depth, and a pass there
+    holds at every depth; for the canonical chain (core depth 0) that is
+    every window but the unitary one at depth 0.  ``rank_tol`` is the
+    relative singular-value cutoff of the rank-based checks.  Hard errors
+    propagate and stop the pipeline.
     ``factorization`` is the ``isometry_defect`` of the core [F; T]: it
     bounds F^H F - (I - T^H T) on the whole circle.  ``dilation`` and
     ``compression-tower`` are ``check_dilation`` on V and on U, and
@@ -325,7 +329,7 @@ def _demo_sz_nagy_scalar() -> list[Report]:
                              spec_norm(chain.v.core.a1) + spec_norm(chain.q.q1), 1e-12),
     ]
     out.append(check_uniform(chain.v, t, max_len=6))
-    out.append(check_minimality(chain.v, t, depth=5))
+    out.append(check_minimality(chain.v, t))
     out.append(unitarity_report(chain.u, count=20))
     out.append(_expect_flag("sz-nagy-scalar/gap-space-trivial",
                             chain.u.cores.k1_space.dim == 0))
@@ -359,7 +363,7 @@ def _demo_two_sided_shift() -> list[Report]:
         Report.from_residual("two-sided-shift/lambda-independent", n1, 1e-12),
         Report.from_residual("two-sided-shift/shift-norm", abs(n0 - 1.0), 1e-12),
     ]
-    out.append(check_minimality_unitary(u, t, depth=4))
+    out.append(check_minimality_unitary(u, t))
     out.append(check_uniform(u, t, max_len=4))
     return out
 
@@ -385,7 +389,7 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
         Report.from_residual("lambda-two-sided-shift/lambda-coefficient",
                              abs(n1 - 1.0), 1e-12),
         unitarity_report(u, count=20),
-        check_minimality_unitary(u, t, depth=4),
+        check_minimality_unitary(u, t),
         check_uniform(u, t, max_len=4),
         _expect_flag(
             "lambda-two-sided-shift/not-equivalent-to-classical",
@@ -426,7 +430,7 @@ def _demo_non_uniform_iso() -> list[Report]:
                              1e-12, {"identity": "P_H V(-1)V(1)h = -h"}),
         _expect_flag("non-uniform-iso/not-uniform", not uniform.passed,
                      uniform.witness),
-        check_minimality(v, t, depth=5),
+        check_minimality(v, t),
         _expect_flag(
             "non-uniform-iso/not-equivalent-to-canonical",
             fw.get("verdict") == "NOT_EQUIVALENT"
@@ -462,7 +466,7 @@ def _demo_non_uniform_uni() -> list[Report]:
         unitarity_report(u, count=20),
         Report.from_residual("non-uniform-uni/extension-column", resid, 1e-12),
         check_dilation(u, t, max_len=6),
-        check_minimality_unitary(u, t, depth=4),
+        check_minimality_unitary(u, t),
         Report.from_residual("non-uniform-uni/uniformity-witness", witness_resid,
                              1e-12, {"identity": "P_H U(-1)U(1)h = -h"}),
         _expect_flag("non-uniform-uni/not-uniform", not uniform.passed,

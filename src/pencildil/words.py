@@ -11,11 +11,11 @@ and ``closure_bound`` compress each word length to one block, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import numerical_rank, spec_norm, spec_norms
+from .linalg import singular_values, spec_norm, spec_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +44,18 @@ class Letters:
         """The same letters followed by their conjugate transposes."""
         adjoints = tuple(op.conj().T for op in self.ops)
         return Letters(self.ops + adjoints, self.start, self.head)
+
+    def trimmed(self) -> "Letters":
+        """The same letters on the coordinates ``connected`` from the start
+        block to the head rows, and on the head rows themselves; the head
+        rows of every word are unchanged."""
+        out = np.eye(len(self.start))[self.head]
+        keep = connected(np.stack(self.ops), self.start, out)
+        keep[self.head] = True
+        first = int(np.count_nonzero(keep[:self.head.start]))
+        head = slice(first, first + out.shape[0])
+        return Letters(tuple(op[keep][:, keep] for op in self.ops),
+                       self.start[keep], head)
 
 
 def act(ops, lam, block: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -90,22 +102,79 @@ def _levels(letters: Letters, max_len: int) -> Iterator[np.ndarray]:
         yield level
 
 
+class Containment(NamedTuple):
+    """dim(S n W) for the span S of some words and the span W of some rows.
+
+    ``span_rank`` and ``outside_rank`` are the ranks of S and of its rows
+    outside W; each gap is (smallest kept, largest dropped) singular value
+    of that cut relative to sigma_max of S, None where nothing is kept."""
+
+    dim: int
+    span_rank: int
+    outside_rank: int
+    span_gap: tuple
+    outside_gap: tuple
+
+
+def _cut(s: np.ndarray, scale: float, rank_tol: float) -> tuple[int, tuple]:
+    """Rank of singular values ``s`` above rank_tol * scale, and the gap."""
+    kept = s > rank_tol * scale
+    rank = int(np.count_nonzero(kept))
+    smallest = float(s[rank - 1]) / scale if rank else None
+    largest = float(s[rank]) / scale if rank < s.size else 0.0
+    return rank, (smallest, largest)
+
+
 def span_rank(letters: Letters, max_len: int, rows: slice,
-              rank_tol: float) -> int:
-    """Numerical rank of all words of length <= max_len restricted to ``rows``,
-    closed one ``_levels`` level at a time; ``rank_tol`` is the relative
-    cutoff of the one final rank decision."""
-    kept = [letters.start[rows]] + [level[rows] for level in _levels(letters, max_len)]
-    return numerical_rank(np.concatenate(kept, axis=1), rank_tol)
+              rank_tol: float) -> Containment:
+    """dim(S n W) for S the span of the words of length <= max_len applied to
+    the start block and W the span of the coordinates ``rows``.
+
+    A vector of S lies in W exactly when its rows outside W vanish, so
+    dim(S n W) = rank S - rank(S outside W).  Both ranks are read from the
+    start block and the ``_levels`` compressions side by side: they are the
+    word matrix times a block-diagonal matrix with orthonormal rows, and so
+    is any set of its rows, which keeps every singular value of S and of its
+    part outside W.  Both ranks are cut at ``rank_tol`` times sigma_max of
+    S: the part outside W can be pure round-off, which a cut against its own
+    sigma_max would count as rank.
+    """
+    kept = np.concatenate([letters.start] + list(_levels(letters, max_len)),
+                          axis=1)
+    outside = np.ones(len(kept), dtype=bool)
+    outside[rows] = False
+    s = singular_values(kept)
+    if not s.size or s[0] <= 0.0:
+        return Containment(0, 0, 0, (None, 0.0), (None, 0.0))
+    span, span_gap = _cut(s, s[0], rank_tol)
+    out, out_gap = _cut(singular_values(kept[outside]), s[0], rank_tol)
+    return Containment(span - out, span, out, span_gap, out_gap)
+
+
+def connected(ops: np.ndarray, start: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mask of the coordinates that some word of the (letters, dim, dim)
+    stack ``ops`` reaches from ``start`` and some word carries to ``out``.
+
+    By the zero pattern of the letters the other coordinates never feed
+    these, so dropping them leaves out @ word @ start unchanged for every
+    word; for the window of a dilation this drops, for example, the tail
+    slots the shift never brings back and the future slots no forward word
+    fills.
+    """
+    feeds = np.any(ops != 0, axis=0)  # feeds[k, i]: coordinate i feeds k
+    return (_closed(np.any(start != 0, axis=1), feeds)
+            & _closed(np.any(out != 0, axis=0), feeds.T))
 
 
 def _closed(mask: np.ndarray, feeds: np.ndarray) -> np.ndarray:
     """``mask`` grown by every coordinate that a coordinate in it feeds."""
-    new = mask
-    while new.any():
-        new = feeds[:, new].any(axis=1) & ~mask
-        mask = mask | new
-    return mask
+    count = np.count_nonzero(mask)
+    while True:
+        mask = mask | (feeds @ mask)
+        grown = np.count_nonzero(mask)
+        if grown == count:
+            return mask
+        count = grown
 
 
 def difference(a: Letters, b: Letters) -> tuple[Letters, np.ndarray]:
@@ -113,20 +182,15 @@ def difference(a: Letters, b: Letters) -> tuple[Letters, np.ndarray]:
     E x = x[a.head] - x[b.head], so E times a word of the pair is the
     difference of the two words' compressions.
 
-    Only the coordinates that some word reaches from the start and some
-    word carries to the output are kept.  By the zero pattern of the
-    letters the others never feed them, so every E x_w is unchanged; for
-    the window of a dilation this drops, for example, the tail slots the
-    shift never brings back and the future slots no forward word fills.
+    Only the ``connected`` coordinates are kept, so every E x_w is
+    unchanged.
     """
     m, dim = len(a.start), len(a.start) + len(b.start)
     ops = np.zeros((len(a.ops), dim, dim), dtype=complex)
     ops[:, :m, :m], ops[:, m:, m:] = a.ops, b.ops
     start = np.vstack([a.start, b.start])
     out = np.hstack([np.eye(m)[a.head], -np.eye(dim - m)[b.head]])
-    feeds = np.any(ops != 0, axis=0)  # feeds[k, i]: coordinate i feeds k
-    keep = (_closed(np.any(start != 0, axis=1), feeds)
-            & _closed(np.any(out != 0, axis=0), feeds.T))
+    keep = connected(ops, start, out)
     pair = Letters(tuple(ops[:, keep][:, :, keep]), start[keep], slice(0, 0))
     return pair, out[:, keep]  # E stands in for the pair's head rows
 

@@ -8,7 +8,8 @@ from pencildil import (BuiltinExample, FejerRieszFactor, LinearPencil,
                        StructuredIsometricPencil, UnitaryDilation,
                        assemble_theta, bauer_factorize, build_canonical,
                        build_unitary, builtin_example, canonical_chain,
-                       check_biinner, check_dilation, check_minimality_unitary,
+                       ShapeMismatch, check_biinner, check_dilation,
+                       check_minimality, check_minimality_unitary,
                        check_uniform, classify, coefficient_norms,
                        core_subspaces, gram_coefficients, isometry_defect,
                        q_identity_defect, run_pipeline, unit_circle_grid,
@@ -282,6 +283,50 @@ def test_minimality_unitary_corpus_and_padded(corpus, all_chains):
     report = check_minimality_unitary(build_unitary(padded), ZERO, depth=3)
     assert not report.passed
     assert report.witness["expected"] - report.witness["rank"] == 1
+    # the deficit is found at the window depth asked for, not only at the
+    # certifying depth 1
+    assert report.details[0]["decided_depth"] == 3
+
+
+def test_minimality_defaults_to_the_certifying_depth():
+    # The non-uniform dilation has core depth 2: both checks default to
+    # window depth 3, where a pass holds at every depth.  A shallower
+    # window is evidence at its own depth only.
+    vt = builtin_example(BuiltinExample.NON_UNIFORM_V)
+    u = build_unitary(vt)
+    for report, key, cap in ((check_minimality(vt, ZERO), "window_depth", 3),
+                             (check_minimality_unitary(u, ZERO), "depth", 6)):
+        details = report.details[0]
+        assert report.passed and details["every_depth"]
+        assert (details[key], details["word_cap"], details["decided_depth"]) \
+            == (3, cap, 3)
+    for report in (check_minimality(vt, ZERO, depth=2),
+                   check_minimality_unitary(u, ZERO, depth=2)):
+        assert report.passed and not report.details[0]["every_depth"]
+
+
+def test_minimality_details_carry_the_rank_gaps(corpus, all_chains):
+    # Each rank cut reports its smallest kept and largest dropped singular
+    # value relative to sigma_max of the span, on either side of rank_tol.
+    for t, chain in zip(corpus[:6], all_chains[:6]):
+        for check, d in ((check_minimality, chain.v),
+                         (check_minimality_unitary, chain.u)):
+            report = check(d, t)
+            assert report.to_json_dict() == check(d, t).to_json_dict()
+            details = report.details[0]
+            assert details["rank"] == details["span_rank"] - details["outside_rank"]
+            assert details["span_gap"][0] is not None
+            for kept, dropped in (details["span_gap"], details["outside_gap"]):
+                assert kept is None or 1e-8 < kept <= 1.0 + 1e-12
+                assert 0.0 <= dropped <= 1e-8
+
+
+def test_minimality_rejects_a_non_square_pencil(scalar_chain):
+    t = LinearPencil(np.zeros((1, 2)), np.zeros((1, 2)))
+    with pytest.raises(ShapeMismatch):
+        check_minimality(scalar_chain.v, t)
+    with pytest.raises(ShapeMismatch):
+        check_minimality_unitary(scalar_chain.u, t)
 
 
 def test_uniform_words_and_tower(corpus, all_chains):

@@ -7,10 +7,12 @@ from pencildil import (BuiltinExample, LinearPencil, StructuredIsometricPencil,
                        build_unitary, builtin_example, check_minimality,
                        check_minimality_unitary, check_uniform,
                        equivalence_falsifier)
-from pencildil.isodil import dense_coefficient, window_dim, word_letters
+from pencildil.isodil import (dense_coefficient, dilation_letters, window_dim,
+                              word_letters)
 from pencildil.linalg import numerical_rank, spec_norm
 from pencildil.unidil import dense_u_coefficient, word_letters_unitary
-from pencildil.words import Letters, closure, closure_bound, difference
+from pencildil.words import (Letters, closure, closure_bound, difference,
+                             grouped_sums, span_rank)
 from word_oracle import (differences, first_difference, levels, word_label,
                          worst_word)
 
@@ -24,14 +26,23 @@ def padded_shift():
     return StructuredIsometricPencil(1, 2, 0, core)
 
 
-def stacked_rank(ops, start, rows, max_len):
-    """Reference: every word of length <= max_len side by side, one rank."""
+def containment_rank(ops, start, rows, max_len):
+    """Reference: every word of length <= max_len side by side; the rank of
+    all of them minus the rank of their rows outside ``rows``, both cut at
+    RANK_TOL times sigma_max of all of them."""
     level = start
     collected = [level]
     for _ in range(max_len):
         level = np.concatenate([op @ level for op in ops], axis=1)
         collected.append(level)
-    return numerical_rank(np.concatenate(collected, axis=1)[rows], RANK_TOL)
+    words = np.concatenate(collected, axis=1)
+    outside = np.ones(len(words), dtype=bool)
+    outside[rows] = False
+    s = np.linalg.svd(words, compute_uv=False)
+    cut = RANK_TOL * s[0]
+    s_out = (np.linalg.svd(words[outside], compute_uv=False) if outside.any()
+             else np.zeros(0))
+    return int(np.count_nonzero(s > cut) - np.count_nonzero(s_out > cut))
 
 
 def exhaustive_minimality_rank(v, n_t, depth):
@@ -39,7 +50,8 @@ def exhaustive_minimality_rank(v, n_t, depth):
     ops = [dense_coefficient(v, j, tail) for j in (0, 1)]
     start = np.zeros((window_dim(v, tail), n_t), dtype=complex)
     start[tail * v.dim_y:tail * v.dim_y + n_t] = np.eye(n_t)
-    return stacked_rank(ops, start, slice((tail - depth) * v.dim_y, None), depth)
+    return containment_rank(ops, start, slice((tail - depth) * v.dim_y, None),
+                            depth)
 
 
 def exhaustive_minimality_unitary_rank(u, n_t, depth):
@@ -50,8 +62,8 @@ def exhaustive_minimality_unitary_rank(u, n_t, depth):
     kdim = window_dim(u.v, tail)
     start = np.zeros((kdim + future * u.dim_u, n_t), dtype=complex)
     start[tail * u.dim_y:tail * u.dim_y + n_t] = np.eye(n_t)
-    rows = np.r_[(tail - depth) * u.dim_y:kdim, kdim:kdim + depth * u.dim_u]
-    return stacked_rank(ops, start, rows, cap)
+    rows = slice((tail - depth) * u.dim_y, kdim + depth * u.dim_u)
+    return containment_rank(ops, start, rows, cap)
 
 
 def word_table(letters, max_len):
@@ -80,6 +92,8 @@ def minimality_cases(corpus, all_chains):
 
 
 def test_span_rank_equals_stacked_rank(corpus, all_chains):
+    # A check at a depth past the certifying one reports the induction's
+    # answer; the exhaustive words at that depth must give the same rank.
     for v, u, t, depth in minimality_cases(corpus, all_chains):
         n_t = t.shape[0]
         iso = check_minimality(v, t, depth=depth, rank_tol=RANK_TOL)
@@ -88,14 +102,69 @@ def test_span_rank_equals_stacked_rank(corpus, all_chains):
         assert uni.witness["rank"] == exhaustive_minimality_unitary_rank(u, n_t, depth)
 
 
+def test_containment_is_not_projection():
+    # Every word is a multiple of x + y, with x = e0 in the window row and
+    # y = e1 outside it: the span projects onto the window but meets it
+    # only in zero.
+    start = np.array([[1.0], [1.0]], dtype=complex)
+    letters = Letters((np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex),),
+                      start, slice(0, 1))
+    found = span_rank(letters, 3, slice(0, 1), RANK_TOL)
+    assert (found.dim, found.span_rank, found.outside_rank) == (0, 1, 1)
+    words = np.hstack([np.linalg.matrix_power(letters.ops[0], k) @ start
+                       for k in range(4)])
+    assert numerical_rank(words[:1], RANK_TOL) == 1  # the projection's rank
+
+
+def test_outside_round_off_is_cut_against_the_whole_span():
+    # The one word's row outside the window is 1e-20 of the span, round-off
+    # rather than a direction: cut against sigma_max of its own it would
+    # count as rank and hide the window direction.
+    letters = Letters((np.eye(2, dtype=complex),),
+                      np.array([[1.0], [1e-20]], dtype=complex), slice(0, 1))
+    found = span_rank(letters, 2, slice(0, 1), RANK_TOL)
+    assert (found.dim, found.span_rank, found.outside_rank) == (1, 1, 0)
+    assert found.outside_gap[0] is None
+    assert found.outside_gap[1] == pytest.approx(1e-20, rel=1e-6)
+
+
+def test_minimality_matches_deep_windows(corpus, all_chains):
+    # Reference for the certifying depth: the verdict at the default depth
+    # is the verdict of the containment computed directly (not by the
+    # induction) at every window depth 1..5.
+    def direct(d, t, depth, unitary):
+        if unitary:
+            cap = depth + d.core_depth + 1
+            letters = word_letters_unitary(d, t.shape[0], cap).with_adjoints()
+            future = d.dim_u
+        else:
+            cap, future = depth, 0
+            letters = word_letters(d, t.shape[0], cap)
+        top = letters.head.start
+        rows = slice(top - depth * d.dim_y, top + d.dim_h + depth * future)
+        found = span_rank(letters, cap, rows, RANK_TOL)
+        return found.dim == rows.stop - rows.start
+
+    dilations = [(chain.v, t, True) for t, chain in zip(corpus, all_chains)]
+    dilations += [(builtin_example(name), ZERO, True) for name in BuiltinExample]
+    dilations.append((padded_shift(), ZERO, False))
+    for v, t, minimal in dilations:
+        for d, check, unitary in ((v, check_minimality, False),
+                                  (build_unitary(v), check_minimality_unitary, True)):
+            assert check(d, t).passed == minimal
+            assert all(direct(d, t, depth, unitary) == minimal
+                       for depth in range(1, 6))
+
+
 def test_unitary_minimality_at_depth_10(corpus, all_chains):
-    # 4^12 / 3 word columns if stacked exhaustively; closed level by level.
+    # 4^12 / 3 word columns if stacked exhaustively; decided at depth 1.
     t, chain = corpus[1], all_chains[1]
     assert t.shape == (2, 2)
     report = check_minimality_unitary(chain.u, t, depth=10)
     expected = 10 * chain.v.dim_y + chain.v.dim_h + 10 * chain.u.dim_u
     assert report.passed and report.witness == {"rank": expected,
                                                 "expected": expected}
+    assert report.details[0]["decided_depth"] == 1
 
 
 def test_levels_follow_the_word_table():
@@ -283,6 +352,29 @@ def test_difference_keeps_the_coordinates_words_connect(corpus, all_chains):
         visited = closure(pair, out, 5)
         assert next(x for x in visited if x[1] > TOL) == first_difference(letters, zero, 5, TOL)
         assert max(visited, key=lambda x: x[1]) == worst_word(letters, zero, 5)[::-1]
+
+
+def test_trimmed_letters_keep_every_head_sum(corpus, all_chains):
+    # The letters of check_dilation keep only the coordinates between the
+    # start and the head: on a canonical chain the head alone, out of the
+    # whole V or U window.  The grouped sums are bitwise those of the
+    # whole window, and the non-uniform dilation keeps its two core slots.
+    for t, chain in zip(corpus, all_chains):
+        n = t.shape[0]
+        for d in (chain.v, chain.u):
+            letters = dilation_letters(d, n, 6)
+            trimmed = letters.trimmed()
+            assert len(trimmed.start) == n < len(letters.start)
+            for full, cut in zip(grouped_sums(letters, 6),
+                                 grouped_sums(trimmed, 6)):
+                assert np.array_equal(full, cut)
+    vt = builtin_example(BuiltinExample.NON_UNIFORM_V)
+    for d in (vt, build_unitary(vt)):
+        letters = dilation_letters(d, 1, 5)
+        trimmed = letters.trimmed()
+        assert len(trimmed.start) == 3
+        for full, cut in zip(grouped_sums(letters, 5), grouped_sums(trimmed, 5)):
+            assert np.array_equal(full, cut)
 
 
 def test_self_falsifier_memory_at_depth_8(corpus, all_chains):

@@ -3,6 +3,8 @@
 The set covers the 20 ``seeded_corpus()`` pipelines, the five demos, the
 scalar, empty-defect and boundary pencils at depths 0, 1 and 4, the
 falsifier pairs that end in the word table or the uniformity invariant,
+both minimality reports at their default depth of the padded shift (a
+deficit of 1) and of the depth-2 non-uniform dilation (word cap 6 for U),
 self-falsifiers of the first corpus pencil of each dimension 1..4 at
 depths 6 and 7, and four hard valid pencils at n = 4 (dim Y < dim H,
 a1 = 0, nilpotent, margin 1e-6), each classified on grids of 8, 64 and
@@ -84,6 +86,12 @@ def _negated_head(v):
                                         pd.LinearPencil(b0, b1))
 
 
+def _padded_shift():
+    """The shift with an untouched head line adjoined: not minimal."""
+    core = pd.LinearPencil([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], np.zeros((3, 2)))
+    return pd.StructuredIsometricPencil(1, 2, 0, core)
+
+
 def cases():
     corpus = pd.seeded_corpus()
     for i, t in enumerate(corpus):
@@ -103,6 +111,10 @@ def cases():
         yield f"falsifier-{label}-uni", lambda d1=d1, d2=d2: [
             pd.equivalence_falsifier(pd.build_unitary(d1), pd.build_unitary(d2),
                                      ZERO, depth=3)]
+    for label, v in (("padded-shift", _padded_shift()), ("non-uniform-v", vt)):
+        yield f"minimality-{label}", lambda v=v: [
+            pd.check_minimality(v, ZERO),
+            pd.check_minimality_unitary(pd.build_unitary(v), ZERO)]
     for label, t in edge_pencils():
         for grid_size in (8, 64, 256):
             yield f"edge-{label}-classify-g{grid_size}", \
