@@ -212,31 +212,84 @@ def _check_dilation_input(d: Dilation, t: LinearPencil):
         raise DimensionMismatch("pencil space exceeds the dilation's head space")
 
 
+def core_letters(d: Dilation, t: LinearPencil) -> Letters:
+    """Letters of V (or U) on the core window, restricted to the coordinates
+    between H and the head: every forward word's compression to H, at
+    every length.
+
+    The window holds tail slots -(d+1)..-1 and the head (and future slot 1
+    for U), d the core depth.  Its letters give the compression of every
+    forward word from H exactly, whatever its length.  Write W for slots
+    -d..-1 and the head.  Tail slots deeper than -d only shift deeper, and
+    V1 is zero there, so nothing that leaves W ever comes back to it: the
+    W part of V_j x depends only on the W part of x, through the core.  The
+    window's letters are that core map from W into slot -(d+1) and W, with
+    a zero column at slot -(d+1), which drops what the shift would carry
+    deeper; the W part of every word is therefore exact.  For U a forward
+    letter writes into a future slot only from a future slot (U0 shifts
+    future slot k+1 onto k), so from H every future slot stays zero and Q
+    never acts.  ``Letters.trimmed`` then keeps the coordinates the
+    zero pattern of these letters connects from H to the head, which
+    leaves every word's head rows unchanged.
+    """
+    return _facets(d).letters(d, t.shape[0], 0).trimmed()
+
+
+def equals_pencil(letters: Letters, t: LinearPencil) -> bool:
+    """Whether ``letters`` are T's own, entry for entry: start I_n, every
+    row head, and letters (t.a0, t.a1).
+
+    Then every word's compression equals T's word at every length, in
+    exact arithmetic and in floating point alike.
+    """
+    n = t.shape[0]
+    return (letters.start.shape == (n, n) and letters.head == slice(0, n)
+            and np.array_equal(letters.start, np.eye(n))
+            and all(np.array_equal(a, b)
+                    for a, b in zip(letters.ops, (t.a0, t.a1))))
+
+
+def _check_max_len(max_len: int):
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+
+
 def check_dilation(d: Dilation, t: LinearPencil, max_len: int = 6,
                    tol: float = 1e-9) -> Report:
     """Compare compressed symmetrized multipowers of V (or U) against T's.
 
-    For every exponent pair (t0, t1) with t0 + t1 <= max_len the compressed
-    multipower P_H V^(t0,t1)|H must equal T^(t0,t1); by multilinearity this
-    is the dilation identity P_H V(lam_1)...V(lam_n)|H = T(lam_1)...T(lam_n)
-    for all circle parameters at once, and so P_H V(lam)^n|H = T(lam)^n
-    holds for every lam as a polynomial identity.  The residuals of all
-    exponent pairs are the norms of one ``spec_norms`` stack.  For U the
-    multipowers are read from U's own letters, so the report,
-    ``compression-tower``, is the tower P_H U(lam)^n|H = T(lam)^n decided on
-    its coefficients; P_H U(lam)^{-n}|H = (P_H U(lam)^n|H)^* on the circle
-    needs no check of its own.
+    For every exponent pair (t0, t1) with t0 + t1 <= max_len (nonnegative,
+    else ValueError) the compressed multipower P_H V^(t0,t1)|H must equal
+    T^(t0,t1); by multilinearity this is the dilation identity
+    P_H V(lam_1)...V(lam_n)|H = T(lam_1)...T(lam_n) for all circle
+    parameters at once, and so P_H V(lam)^n|H = T(lam)^n holds for every
+    lam as a polynomial identity.  The multipowers are read from
+    ``core_letters``, exact at every length.  When those letters are T's
+    own (``equals_pencil``: the head block of a depth-0 core [G; T] is T
+    itself), every word equals T's word at every length, and every pair
+    reports residual 0.0 with no product formed.  Otherwise the residuals
+    of all exponent pairs are the norms of one ``spec_norms`` stack of
+    ``grouped_sums`` differences.  For U the multipowers are read from U's
+    own letters, so the report, ``compression-tower``, is the tower
+    P_H U(lam)^n|H = T(lam)^n decided on its coefficients;
+    P_H U(lam)^{-n}|H = (P_H U(lam)^n|H)^* on the circle needs no check of
+    its own.
     """
     _check_dilation_input(d, t)
+    _check_max_len(max_len)
     facets = _facets(d)
-    letters = facets.letters(d, t.shape[0], max_len).trimmed()
+    exponents = [[length - k, k] for length in range(max_len + 1)
+                 for k in range(length + 1)]
+    letters = core_letters(d, t)
+    if equals_pencil(letters, t):
+        details = [{"t": pair, "residual": 0.0} for pair in exponents]
+        return Report.from_residual(facets.dilation, 0.0, tol, None, details)
     sums = zip(grouped_sums(letters, max_len),
                grouped_sums(Letters.plain((t.a0, t.a1)), max_len))
-    exponents, diffs = [], []
+    diffs = []
     for length, (d_sums, t_sums) in enumerate(sums):
         w = np.array([math.comb(length, k) for k in range(length + 1)])[:, None, None]
         diffs.append(d_sums / w - t_sums / w)
-        exponents += [[length - k, k] for k in range(length + 1)]
     worst, witness, details = 0.0, None, []
     for pair, resid in zip(exponents, spec_norms(np.concatenate(diffs)).tolist()):
         details.append({"t": pair, "residual": resid})
@@ -251,21 +304,32 @@ def check_uniform(d: Dilation, t: LinearPencil, max_len: int = 6,
     T's word.
 
     Products over independent circle parameters expand multilinearly into
-    ordered words, so matching all 2^n words of each length n <= max_len is
-    the uniform dilation property.  One ``closure`` over the difference of
-    the two letter sets visits the words that add to its span.  A visited
-    word that differs by more than ``tol`` fails the report with the
-    largest visited difference and the first word reaching it, in product
-    order ("01" = letter 0 times letter 1); otherwise the residual is
+    ordered words, so matching all 2^n words of each length n <= max_len
+    (nonnegative, else ValueError) is the uniform dilation property.  The
+    words are read from ``core_letters``, exact at every length.  When
+    those letters are T's own (``equals_pencil``), every word equals T's
+    word at every length: the residual is 0.0 and ``every_length`` is true
+    in the details.  Otherwise one ``closure`` over the difference of the two
+    letter sets visits the words that add to its span.  A visited word
+    that differs by more than ``tol`` fails the report with the largest
+    visited difference and the first word reaching it, in product order
+    ("01" = letter 0 times letter 1); otherwise the residual is
     ``closure_bound``, which fails the report without a witness if it
-    exceeds ``tol``.  For U the words are U's own and the report is
+    exceeds ``tol``; ``every_length`` is false, the verdict covering the
+    words up to ``max_len``.  The details also count those words
+    (``words_checked``).  For U the words are U's own and the report is
     ``uniform-unitary``.
     """
     _check_dilation_input(d, t)
+    _check_max_len(max_len)
     facets = _facets(d)
-    details = [{"words_checked": sum(2 ** n for n in range(1, max_len + 1))}]
-    pair = difference(facets.letters(d, t.shape[0], max_len),
-                      Letters.plain((t.a0, t.a1)))
+    letters = core_letters(d, t)
+    exact = equals_pencil(letters, t)
+    details = [{"words_checked": sum(2 ** n for n in range(1, max_len + 1)),
+                "every_length": exact}]
+    if exact:
+        return Report.from_residual(facets.uniform, 0.0, tol, None, details)
+    pair = difference(letters, Letters.plain((t.a0, t.a1)))
     word, worst = max(closure(*pair, max_len), key=lambda wd: wd[1],
                       default=(None, 0.0))
     if worst > tol:

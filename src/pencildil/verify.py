@@ -189,7 +189,10 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     ``compression-tower`` are ``check_dilation`` on V and on U, and
     ``uniform`` and ``uniform-unitary`` are ``check_uniform`` on V and on U:
     each decides its identity on the coefficients, for every lambda at
-    once, from the letters of the object it names.
+    once, from the letters of the object it names on its core window.  The
+    head block of the canonical core [F; T] is T itself, so all four are
+    decided exactly at every word length, with residual 0.0 (and
+    ``every_length`` true for the uniform reports), whatever ``depth``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -252,8 +255,11 @@ def equivalence_falsifier(d1: Dilation, d2: Dilation, t: LinearPencil,
     H), compared by ``closure`` up to the first visited word that differs
     by more than ``tol``.  Any difference yields NOT_EQUIVALENT with the
     distinguishing invariant as witness; otherwise the verdict is
-    INCONCLUSIVE, never "equivalent".
+    INCONCLUSIVE, never "equivalent".  ``depth``, the longest word
+    compared, must be nonnegative, else ValueError.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     n_t = t.shape[0]
     for label, d in (("first", d1), ("second", d2)):
         rep = check_dilation(d, t, max_len=depth)

@@ -202,24 +202,35 @@ def closure(pair: Letters, out: np.ndarray,
     x_w is word w of the ``difference`` pair applied to its start block.
     Words are visited breadth-first, lexicographically within a length, and
     only a word whose block adds a direction to the span kept so far has
-    its children visited (Tzeng, SIAM J. Comput. 21 (1992)): at most
-    (dim a + dim b) x letters words.  Every word is a combination of kept
-    words no longer than itself, so in exact arithmetic the first visited
-    word with E x_w != 0 has the shortest differing length.  The visit
-    stops at the first level that keeps no word.
+    its children visited (Tzeng, SIAM J. Comput. 21 (1992)).  Every word
+    is a combination of kept words no longer than itself, so in exact
+    arithmetic the first visited word with E x_w != 0 has the shortest
+    differing length.  The visit stops at the first level that keeps no
+    word.
+
+    A block adds the directions of its part outside the kept span whose
+    singular values exceed 1e-12 times sigma_max of the start block, the
+    scale of the span, as ``span_rank`` cuts against sigma_max of the
+    span.  Each kept word adds at least one column to an orthonormal basis
+    of directions of the word span, so at most rank(span) <= dim words are
+    kept and at most rank(span) x letters are visited.  The cut is what
+    keeps the basis inside the span in floating point: a word that is zero
+    in exact arithmetic has a block of round-off, about 1e-16 of the
+    scale, which lies below it, while a cut against the block's own norm
+    would keep that round-off as a direction.
     """
     ops = np.stack(pair.ops)
+    cut = 1e-12 * spec_norm(pair.start)
     basis = np.zeros((len(pair.start), 0), dtype=complex)
     labels, blocks, visited = [""], pair.start[None], []
     for _ in range(max_len):
         kept = []
         for i, block in enumerate(blocks):
-            # projected off twice (one Gram-Schmidt pass loses orthogonality);
-            # directions above 1e-12 of the block are new
+            # projected off twice (one Gram-Schmidt pass loses orthogonality)
             rest = block - basis @ (basis.conj().T @ block)
             rest -= basis @ (basis.conj().T @ rest)
             u, s, _ = np.linalg.svd(rest, full_matrices=False)
-            new = u[:, s > 1e-12 * np.linalg.norm(block)]
+            new = u[:, s > cut]
             if new.shape[1]:
                 basis = np.hstack([basis, new])
                 kept.append(i)

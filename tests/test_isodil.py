@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from pencildil import (BuiltinExample, DimensionMismatch, LinearPencil,
-                       StructuredIsometricPencil, build_canonical,
+from pencildil import (BuiltinExample, DimensionMismatch, FejerRieszFactor,
+                       LinearPencil, StructuredIsometricPencil,
+                       UnitaryDilation, build_canonical, build_unitary,
                        builtin_example, check_dilation, check_minimality,
                        check_uniform, coefficient_norms, isometry_defect)
-from pencildil.isodil import dense_coefficient, window_dim
+from pencildil.isodil import (core_letters, dense_coefficient,
+                              dilation_letters, equals_pencil, window_dim)
 from pencildil.linalg import spec_norm
-from pencildil.words import act
+from pencildil.words import Letters, act
 from slot_oracle import column, random_vector, v_act, v_adjoint
+from word_oracle import levels, word_label, worst_word
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
 S2 = 1.0 / math.sqrt(2.0)
@@ -210,7 +213,109 @@ def test_check_dilation_and_uniform_verdicts(corpus, all_chains):
     assert not uniform.passed
     assert uniform.worst_residual == pytest.approx(0.5, abs=1e-12)
     assert uniform.witness["word"] in ("01", "10")
+    assert not uniform.details[0]["every_length"]
     assert check_uniform(builtin_example(BuiltinExample.SHIFT), ZERO, 6).passed
+
+
+def forward_cases(corpus, all_chains):
+    """(T, V or U) for every corpus chain and every builtin example."""
+    for t, chain in zip(corpus, all_chains):
+        yield t, chain.v
+        yield t, chain.u
+    for name in BuiltinExample:
+        v = builtin_example(name)
+        yield ZERO, v
+        yield ZERO, build_unitary(v)
+
+
+def oracle_multipowers(d, t, max_len):
+    """Largest multipower difference over t0 + t1 <= max_len, from every
+    word of each length on a window deep enough for all of them."""
+    a, b = dilation_letters(d, t.shape[0], max_len), Letters.plain((t.a0, t.a1))
+    worst = 0.0
+    for length, (x, y) in enumerate(zip(levels(a, max_len), levels(b, max_len)),
+                                    start=1):
+        ones = np.array([word_label(i, length, 2).count("1")
+                         for i in range(2 ** length)])
+        for k in range(length + 1):
+            diff = (x[ones == k] - y[ones == k]).sum(axis=0) / math.comb(length, k)
+            worst = max(worst, spec_norm(diff))
+    return worst
+
+
+def test_forward_checks_match_the_oracle(corpus, all_chains):
+    # The core window decides both checks exactly: every verdict is the one
+    # of every word enumerated on a window deep enough for length 6.  The
+    # canonical chains take the exact route, with residual 0.0 at every
+    # length; the non-uniform dilation takes the closure.
+    for t, d in forward_cases(corpus, all_chains):
+        dilation = check_dilation(d, t, max_len=6)
+        uniform = check_uniform(d, t, max_len=6)
+        assert dilation.passed == (oracle_multipowers(d, t, 6) <= 1e-9)
+        worst, _ = worst_word(dilation_letters(d, t.shape[0], 6),
+                              Letters.plain((t.a0, t.a1)), 6)
+        assert uniform.passed == (worst <= 1e-9)
+        exact = equals_pencil(core_letters(d, t), t)
+        assert uniform.details[0]["every_length"] == exact
+        if exact:
+            assert dilation.worst_residual == uniform.worst_residual == 0.0
+        if not uniform.passed:
+            assert uniform.worst_residual == pytest.approx(worst, rel=1e-12)
+    for chain in all_chains:
+        t = chain.pencil
+        assert equals_pencil(core_letters(chain.v, t), t)
+        assert equals_pencil(core_letters(chain.u, t), t)
+
+
+def moved_head(d, eps):
+    """V (or U) with every entry of the head block of its core's constant
+    coefficient moved by eps; U keeps its Q."""
+    v = d if isinstance(d, StructuredIsometricPencil) else d.v
+    b0 = v.core.a0.copy()
+    b0[-v.dim_h:, -v.dim_h:] += eps
+    moved = StructuredIsometricPencil(v.dim_y, v.dim_h, v.core_depth,
+                                      LinearPencil(b0, v.core.a1))
+    if d is v:
+        return moved
+    return UnitaryDilation(v=moved, q=d.q, cores=d.cores)
+
+
+@pytest.mark.parametrize("index", [0, 2, 5])
+def test_a_moved_head_block_takes_the_closure(corpus, all_chains, index):
+    # A head block that is not T entry for entry leaves the exact route.
+    # Moved by 1e-12 the checks pass with the residual of the closure; moved
+    # by 1e-6 they fail with a witness, the uniform one at the oracle's
+    # worst difference.
+    t, chain = corpus[index], all_chains[index]
+    for d in (chain.v, chain.u):
+        near = moved_head(d, 1e-12)
+        assert not equals_pencil(core_letters(near, t), t)
+        for report in (check_dilation(near, t), check_uniform(near, t)):
+            assert report.passed and 0.0 < report.worst_residual < 1e-9
+        assert not check_uniform(near, t).details[0]["every_length"]
+        far = moved_head(d, 1e-6)
+        dilation = check_dilation(far, t)
+        assert not dilation.passed and dilation.witness["t"] == [1, 0]
+        uniform = check_uniform(far, t)
+        assert not uniform.passed and uniform.witness is not None
+        worst, _ = worst_word(dilation_letters(far, t.shape[0], 6),
+                              Letters.plain((t.a0, t.a1)), 6)
+        assert uniform.worst_residual == pytest.approx(worst, rel=1e-9)
+
+
+def test_a_reflected_factor_takes_the_exact_route(scalar_chain):
+    # [G; T] with G = conj(f1) + conj(f0) lambda, the reflected factor of
+    # 0.5 + 0.3 lambda, is another depth-0 dilation of T: its head block is
+    # T too, so all four forward checks are exact at every length.
+    t, f = scalar_chain.pencil, scalar_chain.factor
+    v = build_canonical(t, FejerRieszFactor(f.f1.conj(), f.f0.conj()))
+    assert not np.allclose(v.core.a0, scalar_chain.v.core.a0)
+    for d in (v, build_unitary(v)):
+        assert equals_pencil(core_letters(d, t), t)
+        dilation, uniform = check_dilation(d, t), check_uniform(d, t)
+        assert dilation.passed and dilation.worst_residual == 0.0
+        assert uniform.passed and uniform.worst_residual == 0.0
+        assert uniform.details[0]["every_length"]
 
 
 def test_check_minimality_expected_ranks(corpus, all_chains):

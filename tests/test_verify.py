@@ -5,8 +5,9 @@ import pytest
 
 from pencildil import (BuiltinExample, LinearPencil, NotADilation,
                        NotContractive, PencilKind, Report, build_unitary,
-                       builtin_example, canonical_chain, check_minimality,
-                       check_minimality_unitary, classify, classical_slice,
+                       builtin_example, canonical_chain, check_dilation,
+                       check_minimality, check_minimality_unitary,
+                       check_uniform, classify, classical_slice,
                        demo, equivalence_falsifier, run_pipeline,
                        seeded_corpus)
 from pencildil.isodil import window_dim
@@ -64,6 +65,13 @@ def test_negative_depth_is_rejected(scalar_chain):
         check_minimality(scalar_chain.v, t, depth=-1)
     with pytest.raises(ValueError):
         check_minimality_unitary(scalar_chain.u, t, depth=-1)
+    for d in (scalar_chain.v, scalar_chain.u):
+        with pytest.raises(ValueError):
+            check_dilation(d, t, max_len=-1)
+        with pytest.raises(ValueError):
+            check_uniform(d, t, max_len=-1)
+        with pytest.raises(ValueError):
+            equivalence_falsifier(d, d, t, depth=-1)
     assert all(r.passed for r in run_pipeline(t, depth=0))
 
 

@@ -7,8 +7,8 @@ from pencildil import (BuiltinExample, LinearPencil, StructuredIsometricPencil,
                        build_unitary, builtin_example, check_minimality,
                        check_minimality_unitary, check_uniform,
                        equivalence_falsifier)
-from pencildil.isodil import (dense_coefficient, dilation_letters, window_dim,
-                              word_letters)
+from pencildil.isodil import (core_letters, dense_coefficient,
+                              dilation_letters, window_dim, word_letters)
 from pencildil.linalg import numerical_rank, spec_norm
 from pencildil.unidil import dense_u_coefficient, word_letters_unitary
 from pencildil.words import (Letters, closure, closure_bound, difference,
@@ -354,11 +354,18 @@ def test_difference_keeps_the_coordinates_words_connect(corpus, all_chains):
         assert max(visited, key=lambda x: x[1]) == worst_word(letters, zero, 5)[::-1]
 
 
+def same_letters(a, b):
+    return (a.head == b.head and np.array_equal(a.start, b.start)
+            and all(np.array_equal(x, y) for x, y in zip(a.ops, b.ops)))
+
+
 def test_trimmed_letters_keep_every_head_sum(corpus, all_chains):
-    # The letters of check_dilation keep only the coordinates between the
-    # start and the head: on a canonical chain the head alone, out of the
-    # whole V or U window.  The grouped sums are bitwise those of the
-    # whole window, and the non-uniform dilation keeps its two core slots.
+    # Trimming keeps only the coordinates between the start and the head:
+    # on a canonical chain the head alone, out of the whole V or U window.
+    # The grouped sums are bitwise those of the whole window, and the
+    # non-uniform dilation keeps its two core slots.  A window of any depth
+    # trims to the same letters, entry for entry, as the core window of
+    # the forward checks.
     for t, chain in zip(corpus, all_chains):
         n = t.shape[0]
         for d in (chain.v, chain.u):
@@ -368,6 +375,7 @@ def test_trimmed_letters_keep_every_head_sum(corpus, all_chains):
             for full, cut in zip(grouped_sums(letters, 6),
                                  grouped_sums(trimmed, 6)):
                 assert np.array_equal(full, cut)
+            assert same_letters(trimmed, core_letters(d, t))
     vt = builtin_example(BuiltinExample.NON_UNIFORM_V)
     for d in (vt, build_unitary(vt)):
         letters = dilation_letters(d, 1, 5)
@@ -375,6 +383,29 @@ def test_trimmed_letters_keep_every_head_sum(corpus, all_chains):
         assert len(trimmed.start) == 3
         for full, cut in zip(grouped_sums(letters, 5), grouped_sums(trimmed, 5)):
             assert np.array_equal(full, cut)
+        assert same_letters(trimmed, core_letters(d, ZERO))
+
+
+def test_closure_keeps_at_most_the_rank_of_the_word_span(corpus, all_chains):
+    # Each kept word adds a direction above 1e-12 of the start block's
+    # scale, so the kept words number at most the rank of the span of the
+    # words they are drawn from (lengths 0..max_len - 1).  A cut against
+    # each block's own norm kept the round-off of words that are zero in
+    # exact arithmetic: 19 parents for a rank of 11 on the first unitary
+    # self word table at length 6.
+    for t, chain in zip(corpus[:4], all_chains[:4]):
+        a = dilation_letters(chain.u, t.shape[0], 6).with_adjoints()
+        pair, out = difference(a, a)
+        visited = closure(pair, out, 6)
+        rows = Letters(pair.ops, pair.start, slice(0, len(pair.start)))
+        words = [pair.start] + [np.hstack(list(level))
+                                for level in levels(rows, 5)]
+        s = np.linalg.svd(np.hstack(words), compute_uv=False)
+        rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+        assert len(visited) % 4 == 0
+        assert len(visited) // 4 <= rank, (t.shape, len(visited), rank)
+    a = dilation_letters(all_chains[0].u, 1, 6).with_adjoints()
+    assert [len(closure(*difference(a, a), depth)) for depth in (4, 6)] == [28, 44]
 
 
 def test_self_falsifier_memory_at_depth_8(corpus, all_chains):

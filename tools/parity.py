@@ -3,10 +3,13 @@
 The set covers the 20 ``seeded_corpus()`` pipelines, the five demos, the
 scalar, empty-defect and boundary pencils at depths 0, 1 and 4, the
 falsifier pairs that end in the word table or the uniformity invariant,
-both minimality reports at their default depth of the padded shift (a
-deficit of 1) and of the depth-2 non-uniform dilation (word cap 6 for U),
-self-falsifiers of the first corpus pencil of each dimension 1..4 at
-depths 6 and 7, and four hard valid pencils at n = 4 (dim Y < dim H,
+the four forward reports (dilation and uniformity of V and of U) of the
+third corpus chain with the head block of its core moved by 1e-12 (they
+pass) and by 1e-6 (they fail), which leaves the exact route for the
+closure, both minimality reports at their default depth of the padded
+shift (a deficit of 1) and of the depth-2 non-uniform dilation (word cap
+6 for U), self-falsifiers of the first corpus pencil of each dimension
+1..4 at depths 6 and 7, and four hard valid pencils at n = 4 (dim Y < dim H,
 a1 = 0, nilpotent, margin 1e-6), each classified on grids of 8, 64 and
 256 points and run through the pipeline at depth 2; the first two have a
 flat norm, where localised grid decisions evaluate the whole grid.  Keys are sorted and floats are written in full, so two
@@ -86,6 +89,17 @@ def _negated_head(v):
                                         pd.LinearPencil(b0, b1))
 
 
+def _moved_head(chain, eps):
+    """V and U of a canonical chain with every entry of the head block of
+    the core's constant coefficient moved by eps; U keeps its Q."""
+    v = chain.v
+    b0 = v.core.a0.copy()
+    b0[-v.dim_h:, -v.dim_h:] += eps
+    moved = pd.StructuredIsometricPencil(v.dim_y, v.dim_h, v.core_depth,
+                                         pd.LinearPencil(b0, v.core.a1))
+    return moved, pd.UnitaryDilation(v=moved, q=chain.q, cores=chain.u.cores)
+
+
 def _padded_shift():
     """The shift with an untouched head line adjoined: not minimal."""
     core = pd.LinearPencil([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], np.zeros((3, 2)))
@@ -111,6 +125,11 @@ def cases():
         yield f"falsifier-{label}-uni", lambda d1=d1, d2=d2: [
             pd.equivalence_falsifier(pd.build_unitary(d1), pd.build_unitary(d2),
                                      ZERO, depth=3)]
+    chain = pd.canonical_chain(corpus[2])
+    for eps in (1e-12, 1e-6):
+        yield f"moved-head-{eps:g}", lambda eps=eps: [
+            check(d, corpus[2]) for d in _moved_head(chain, eps)
+            for check in (pd.check_dilation, pd.check_uniform)]
     for label, v in (("padded-shift", _padded_shift()), ("non-uniform-v", vt)):
         yield f"minimality-{label}", lambda v=v: [
             pd.check_minimality(v, ZERO),
