@@ -19,10 +19,10 @@ from .pencil import (LinearPencil, PencilClass, PencilKind, classify,
 from .reporting import Report
 from .unidil import (CoreSubspaces, QPencil, UnitaryDilation, assemble_theta,
                      build_q, build_unitary, check_biinner,
-                     check_minimality_unitary, core_subspaces,
-                     q_identity_defect)
+                     check_minimality_unitary, check_unitarity,
+                     core_subspaces, q_identity_defect)
 from .verify import (CanonicalChain, DemoName, canonical_chain,
                      classical_slice, demo, equivalence_falsifier,
-                     run_pipeline, seeded_corpus, unitarity_report)
+                     run_pipeline, seeded_corpus)
 
 __version__ = "0.1.0"

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NoConvergence, NotContractive, NotPSD, ShapeMismatch
-from .linalg import (adjoints, as_matrix, numerical_rank, orthonormal_range,
-                     psd_sqrt, ranks, spec_norm, spec_norms)
+from .linalg import (adjoints, as_matrix, hermitian_eigen, numerical_rank,
+                     orthonormal_range, psd_sqrt, ranks, spec_norm, spec_norms)
 from .pencil import (DEFAULT_GRID, LinearPencil, candidate_indices, classify,
                      evaluate_all, rank_candidates, unit_circle_grid)
 
@@ -111,9 +111,9 @@ def gram_coefficients(t: LinearPencil, grid_size: int = DEFAULT_GRID,
 
 def _psd_pinv(x: np.ndarray, rtol: float = _PINV_RTOL) -> np.ndarray:
     """Pseudo-inverse of a PSD matrix with a relative eigenvalue cutoff."""
-    w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
-    if w.size == 0:
+    if x.size == 0:
         return x.copy()
+    w, v = hermitian_eigen(0.5 * (x + x.conj().T))
     cutoff = rtol * max(w[-1], 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (v * inv) @ v.conj().T
@@ -124,7 +124,10 @@ def outer_roots(f: FejerRieszFactor) -> np.ndarray:
 
     For square f0 this is the exact root set; for strictly rectangular
     factors the pencil is compressed onto the row space of f0 first, so the
-    result is a surrogate rather than a full outerness certificate.
+    result is a surrogate rather than a full outerness certificate.  The
+    roots are alpha / beta of ``zggev`` on (f0, -f1), as
+    ``scipy.linalg.eigvals`` computes them; infinite roots (beta = 0) are
+    left out.  A failed QZ iteration raises ``np.linalg.LinAlgError``.
     """
     r = f.dim_y
     if r == 0:
@@ -134,7 +137,14 @@ def outer_roots(f: FejerRieszFactor) -> np.ndarray:
     else:
         w = orthonormal_range(f.f0.conj().T).basis
         a, b = f.f0 @ w, f.f1 @ w
-    vals = scipy.linalg.eigvals(a, -b)
+    # the optimal workspace, queried as scipy.linalg.eigvals queries it
+    work = lapack.zggev(a, -b, compute_vl=0, compute_vr=0, lwork=-1)[-2]
+    alpha, beta, *_, info = lapack.zggev(a, -b, compute_vl=0, compute_vr=0,
+                                         lwork=int(work[0].real))
+    if info:
+        raise np.linalg.LinAlgError(f"zggev failed (info {info})")
+    finite = beta != 0
+    vals = alpha[finite] / beta[finite]
     return vals[np.isfinite(vals)]
 
 

@@ -4,6 +4,12 @@ All functions are pure and deterministic: fixed LAPACK code paths and a
 canonical phase convention for computed bases (in every basis column the
 first entry of largest modulus is made real positive).  Tolerances are
 threaded explicitly; there is no hidden global state.
+
+The single-matrix kernels call LAPACK (``zgesdd``, ``zheevd``) directly
+through ``scipy.linalg.lapack``, in complex128, the routines and options
+``numpy.linalg`` calls, without its per-call dispatch, which at n <= 6
+costs about as much as the factorization.  The batched stack kernels
+(``spec_norms``, ``ranks``) stay on ``numpy.linalg``, which loops in C.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ContainmentViolation, NotHermitian, NotPSD, ShapeMismatch
 
@@ -45,21 +52,69 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _lapack_info(info: int, routine: str):
+    """Raise ``np.linalg.LinAlgError`` when LAPACK reports a failure, as
+    numpy does: no convergence (info > 0) or, on non-finite entries, a
+    rejected argument."""
+    if info:
+        raise np.linalg.LinAlgError(f"{routine} failed (info {info})")
+
+
+def _gesdd(m: np.ndarray, compute_uv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thin ``zgesdd`` of a nonempty matrix: (U, s), U a dummy without uv.
+
+    The workspace is LAPACK's optimal one, queried as ``numpy.linalg.svd``
+    queries it: the routine picks its blocked or unblocked path by the
+    workspace it is given, and the default minimum takes another path from
+    numpy's on larger matrices.
+    """
+    rows, cols = m.shape
+    work, info = lapack.zgesdd_lwork(rows, cols, compute_uv=compute_uv,
+                                     full_matrices=0)
+    _lapack_info(info, "zgesdd")
+    u, s, _, info = lapack.zgesdd(m, compute_uv=compute_uv, full_matrices=0,
+                                  lwork=int(work.real))
+    _lapack_info(info, "zgesdd")
+    return u, s
+
+
 def spec_norm(m: np.ndarray) -> float:
     """Spectral norm, the largest singular value (equal to
-    ``np.linalg.norm(m, 2)`` without its dispatch); zero for matrices with
-    an empty dimension."""
+    ``np.linalg.norm(m, 2)``); zero for matrices with an empty dimension."""
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_gesdd(m, 0)[1][0])
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values in decreasing order; none for an empty matrix."""
     if m.size == 0:
         return np.zeros(0)
-    return np.linalg.svd(m, compute_uv=False)
+    return _gesdd(m, 0)[1]
+
+
+def left_singular(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of the thin SVD, those of
+    ``np.linalg.svd(m, full_matrices=False)``; none for an empty matrix."""
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0), dtype=complex), np.zeros(0)
+    return _gesdd(m, 1)
+
+
+def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix from its
+    lower triangle, those of ``np.linalg.eigh(h)``, by ``zheevd``.
+
+    Its default workspaces are LAPACK's minimum for eigenvectors, which
+    is at least the optimal one wherever the tridiagonal reduction blocks,
+    so the path is numpy's.
+    """
+    if h.size == 0:
+        return np.zeros(0), np.zeros(h.shape, dtype=complex)
+    w, v, info = lapack.zheevd(h, compute_v=1, lower=1)
+    _lapack_info(info, "zheevd")
+    return w, v
 
 
 def spec_norms(stack) -> np.ndarray:
@@ -147,7 +202,7 @@ def orthonormal_range(m, tol: float = DEFAULT_TOLERANCES.rank) -> SubspaceBasis:
     n = m.shape[0]
     if m.shape[1] == 0:
         return SubspaceBasis.empty(n)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s = left_singular(m)
     if s.size == 0 or s[0] <= 0.0:
         return SubspaceBasis.empty(n)
     keep = s > tol * s[0]
@@ -172,7 +227,7 @@ def orthocomplement_within(a: SubspaceBasis, b: SubspaceBasis,
     if k == 0:
         return SubspaceBasis.empty(a.ambient_dim)
     residual = a.basis - b.basis @ (b.basis.conj().T @ a.basis)
-    u, _, _ = np.linalg.svd(residual, full_matrices=False)
+    u, _ = left_singular(residual)
     # The complement has dimension exactly dim(a) - dim(b); keep that many
     # leading singular directions.
     return SubspaceBasis(a.ambient_dim, canonicalize_phases(u[:, :k]))
@@ -198,7 +253,7 @@ def psd_sqrt(m, tol: float = DEFAULT_TOLERANCES.hermitian) -> np.ndarray:
     if asym > tol:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
     h = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(h)
+    w, v = hermitian_eigen(h)
     if w[0] < -tol:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol:.3e}")
     w = np.clip(w, 0.0, None)
@@ -211,9 +266,7 @@ def numerical_rank(m, tol: float = DEFAULT_TOLERANCES.rank) -> int:
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = as_matrix(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    s = singular_values(m)
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

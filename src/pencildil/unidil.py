@@ -26,6 +26,7 @@ as a surrogate) by ``check_biinner``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -163,12 +164,13 @@ class UnitaryDilation:
     def core_depth(self) -> int:
         return self.v.core_depth
 
-    @property
+    @cached_property
     def core_block(self) -> LinearPencil:
         """The square pencil [C | Q] from the core window W (+) U onto W'.
 
         U(lam) acts on the core window and future slot 1 by this block and
-        only shifts the other slots, onto slots orthogonal to W'.
+        only shifts the other slots, onto slots orthogonal to W'.  Built on
+        first use and kept: V and Q are fixed when U is.
         """
         return LinearPencil(np.hstack([self.v.core.a0, self.q.q0]),
                             np.hstack([self.v.core.a1, self.q.q1]))
@@ -249,6 +251,50 @@ def q_identity_defect(u: UnitaryDilation) -> float:
     block = u.core_block
     adjoint = LinearPencil(block.a0.conj().T, block.a1.conj().T)
     return max(isometry_defect(block), isometry_defect(adjoint))
+
+
+def check_unitarity(u: UnitaryDilation, tol: float = 1e-10) -> Report:
+    """U(lam)^* U(lam) = I = U(lam) U(lam)^* on all of K for every
+    |lam| = 1, decided on U's letters.
+
+    On the circle U^*U - I = (U0^*U0 + U1^*U1 - I) + lam U0^*U1 +
+    conj(lam) U1^*U0, so the ``isometry_defect`` of the pencil (U0, U1),
+    ||U0^*U0 + U1^*U1 - I|| + 2||U0^*U1||, bounds ||U^*U - I|| at every lam;
+    that of (U0^*, U1^*) bounds ||UU^* - I|| the same way.  Both terms are
+    Fourier coefficients of the circle function, so each bound lies in
+    [M, 3M] for its circle maximum M.
+
+    The letters are read on the dense window of tail depth d + 3 and
+    future depth 3 (d the core depth), on the interior coordinates I that
+    leave out the deepest tail slot and the outermost future slot; the
+    residual is the larger of the two bounds there.  They hold on all of
+    K.  Write W for tail slots -d..-1 and the head, W' for slots
+    -(d+1)..-1 and the head, and F1 for future slot 1.  U1 is zero outside
+    the columns W + F1, and both letters map those columns into W'.  Every
+    other column (tail slot -n, n >= d + 1, or future slot k + 1) is moved
+    by U0 identically onto its own coordinate outside W' (slot -(n+1), or
+    future slot k), which no other column of U0 or U1 reaches; and every
+    row outside W' is such a coordinate.  So U0^*U0 + U1^*U1 - I and
+    U0^*U1 vanish outside the columns W + F1, and U0U0^* + U1U1^* - I and
+    U0U1^* outside the rows W'; both sets lie in I.  The window letters are
+    the compression of U0 and U1 to the window, and every row a column of
+    I reaches, and every column that reaches a row of I, lies in the
+    window, so these products are exact on I.  On failure the witness
+    names the side, ``U^*U`` or ``UU^*``, with the larger bound; the
+    details carry both.
+    """
+    t, f = u.core_depth + 3, 3
+    u0, u1 = (dense_u_coefficient(u, j, t, f) for j in (0, 1))
+    inner = slice(u.dim_y, len(u0) - u.dim_u)
+    sides = {
+        "U^*U": isometry_defect(LinearPencil(u0[:, inner], u1[:, inner])),
+        "UU^*": isometry_defect(LinearPencil(u0[inner].conj().T,
+                                             u1[inner].conj().T)),
+    }
+    worst = max(sides, key=sides.get)
+    details = [{"side": side, "residual": resid} for side, resid in sides.items()]
+    witness = {"side": worst} if sides[worst] > tol else None
+    return Report.from_residual("unitarity", sides[worst], tol, witness, details)
 
 
 def check_minimality_unitary(u: UnitaryDilation, t: LinearPencil,

@@ -31,8 +31,8 @@ from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate_all,
 from .reporting import Report
 from .unidil import (QPencil, UnitaryDilation, assemble_theta, build_q,
                      build_unitary, check_biinner, check_minimality_unitary,
-                     core_subspaces, dense_u_coefficient, q_identity_defect,
-                     word_letters_unitary)
+                     check_unitarity, core_subspaces, dense_u_coefficient,
+                     q_identity_defect, word_letters_unitary)
 from .words import act, closure, difference
 
 CORPUS_SEED = 20240601
@@ -90,84 +90,13 @@ def canonical_chain(t: LinearPencil,
     return CanonicalChain(pencil=t, gram=g, factor=f, v=v, q=q, u=u, theta=theta)
 
 
-def _random_window(rng: np.random.Generator, u: UnitaryDilation, count: int,
-                   future: int = 2) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """``count`` random supported vectors of K as window columns, a lambda each.
-
-    Vector i fills tail slots -1..-3, the head and future slots 1..future
-    with complex standard normals, slot by slot in that order, each slot's
-    real parts before its imaginary parts, and is followed by its lambda.
-    One ``standard_normal`` call draws all of a vector's normals in that
-    stream order.  The window has tail depth 3 + core_depth + 2 and future
-    depth future + 2, so the letters act exactly for one step forward and
-    one back, in either order.  Returns the block, the lambdas and the two
-    window depths.
-    """
-    tail = 3
-    t, f = tail + u.core_depth + 2, future + 2
-    dy, du = u.dim_y, u.dim_u
-    kdim = window_dim(u.v, t)
-    # (first row, size) of each slot in drawing order
-    slots = ([((t - n) * dy, dy) for n in range(1, tail + 1)] + [(t * dy, u.dim_h)]
-             + [(kdim + n * du, du) for n in range(future)])
-    sizes = [size for _, size in slots]
-    rows = np.concatenate([np.arange(r, r + size) for r, size in slots])
-    # entry j of a slot at offset o draws its real part at 2o + j and its
-    # imaginary part at 2o + size + j
-    real = np.arange(rows.size) + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    imag = real + np.repeat(sizes, sizes)
-    x = np.zeros((kdim + f * du, count), dtype=complex)
-    lam = np.zeros(count, dtype=complex)
-    for i in range(count):
-        z = rng.standard_normal(2 * rows.size)
-        x[rows, i] = z[real] + 1j * z[imag]
-        lam[i] = np.exp(2j * np.pi * rng.uniform())
-    return x, lam, t, f
-
-
 def _u_letters(u: UnitaryDilation, tail_depth: int, future_depth: int) -> tuple:
     return tuple(dense_u_coefficient(u, j, tail_depth, future_depth) for j in (0, 1))
-
-
-def _worst_index(resid: np.ndarray) -> int | None:
-    """First index of the largest residual if it is positive, else None:
-    the witness a sample-by-sample scan with strict improvement would keep."""
-    k = int(np.argmax(resid))
-    return k if resid[k] > 0.0 else None
 
 
 def _worst_column(block: np.ndarray) -> float:
     """Largest column norm of a block (0 for a block without columns)."""
     return float(np.linalg.norm(block, axis=0).max(initial=0.0))
-
-
-def unitarity_report(u: UnitaryDilation, count: int = 50,
-                     seed: int = CORPUS_SEED, tol: float = 1e-10) -> Report:
-    """Norm preservation and two-sided inverse on random supported vectors.
-
-    The ``count`` vectors are the columns of one window block, each with its
-    own lambda, and U and U^* act on the whole block at once.  A column's
-    residual is the largest of | ||Ux|| - ||x|| |, ||U^*Ux - x|| and
-    ||UU^*x - x||; the witness is the first sample with the largest one.
-    A ``count`` below 1 raises ValueError.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    x, lam, t, f = _random_window(np.random.default_rng(seed), u, count)
-    ops = _u_letters(u, t, f)
-    ux = act(ops, lam, x)
-    back = act(ops, lam, ux, adjoint=True)
-    forth = act(ops, lam, act(ops, lam, x, adjoint=True))
-    resid = np.maximum.reduce([
-        np.abs(np.linalg.norm(ux, axis=0) - np.linalg.norm(x, axis=0)),
-        np.linalg.norm(back - x, axis=0),
-        np.linalg.norm(forth - x, axis=0),
-    ])
-    k = _worst_index(resid)
-    if k is None:
-        return Report.from_residual("unitarity", 0.0, tol)
-    witness = {"sample": k, "lambda": [float(lam[k].real), float(lam[k].imag)]}
-    return Report.from_residual("unitarity", resid[k], tol, witness)
 
 
 def run_pipeline(t: LinearPencil, depth: int = 4,
@@ -193,6 +122,8 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     head block of the canonical core [F; T] is T itself, so all four are
     decided exactly at every word length, with residual 0.0 (and
     ``every_length`` true for the uniform reports), whatever ``depth``.
+    ``unitarity`` is ``unidil.check_unitarity``: U^*U = I = UU^* on all of
+    K for every lambda, decided on U's letters with no sample.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -224,7 +155,7 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
                                     rank_tol=rank_tol))
     reports.append(Report.from_residual(
         "q-identities", q_identity_defect(chain.u), 1e-9))
-    reports.append(unitarity_report(chain.u))
+    reports.append(check_unitarity(chain.u))
     reports.append(check_dilation(chain.u, t, max_len=word_len))
     reports.append(check_uniform(chain.u, t, max_len=word_len))
     reports.append(check_minimality_unitary(chain.u, t, depth=depth,
@@ -336,7 +267,7 @@ def _demo_sz_nagy_scalar() -> list[Report]:
     ]
     out.append(check_uniform(chain.v, t, max_len=6))
     out.append(check_minimality(chain.v, t))
-    out.append(unitarity_report(chain.u, count=20))
+    out.append(check_unitarity(chain.u))
     out.append(_expect_flag("sz-nagy-scalar/gap-space-trivial",
                             chain.u.cores.k1_space.dim == 0))
     return out
@@ -379,14 +310,16 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
     v = builtin_example(BuiltinExample.LAMBDA_SHIFT)
     u = build_unitary(v)
     classical = _shift_chain().u
-    # U restricted to K+ is V: compare on ten random vectors of K+
-    x, lam, depth, future = _random_window(np.random.default_rng(CORPUS_SEED),
-                                           u, 10, future=0)
+    # U restricted to K+ is V: on the window one shift slot past the core
+    # (deeper tail slots shift alike in both), U's letters on the K+
+    # columns are V's letters over zero future rows
+    depth = v.core_depth + 2
     kdim = window_dim(v, depth)
-    v_ops = tuple(dense_coefficient(v, j, depth) for j in (0, 1))
-    expected = np.zeros_like(x)
-    expected[:kdim] = act(v_ops, lam, x[:kdim])
-    ext = _worst_column(act(_u_letters(u, depth, future), lam, x) - expected)
+    ext = 0.0
+    for j, u_j in enumerate(_u_letters(u, depth, 1)):
+        expected = np.zeros((len(u_j), kdim), dtype=complex)
+        expected[:kdim] = dense_coefficient(v, j, depth)
+        ext = max(ext, spec_norm(u_j[:, :kdim] - expected))
     n0, n1 = coefficient_norms(u)
     falsify = equivalence_falsifier(u, classical, t, depth=3)
     witness = falsify.witness or {}
@@ -394,7 +327,7 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
         Report.from_residual("lambda-two-sided-shift/extension-property", ext, 1e-12),
         Report.from_residual("lambda-two-sided-shift/lambda-coefficient",
                              abs(n1 - 1.0), 1e-12),
-        unitarity_report(u, count=20),
+        check_unitarity(u),
         check_minimality_unitary(u, t),
         check_uniform(u, t, max_len=4),
         _expect_flag(
@@ -469,7 +402,7 @@ def _demo_non_uniform_uni() -> list[Report]:
     f2 = equivalence_falsifier(u, lambda_u, t, depth=3)
     w1, w2 = f1.witness or {}, f2.witness or {}
     return [
-        unitarity_report(u, count=20),
+        check_unitarity(u),
         Report.from_residual("non-uniform-uni/extension-column", resid, 1e-12),
         check_dilation(u, t, max_len=6),
         check_minimality_unitary(u, t),

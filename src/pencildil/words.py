@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import singular_values, spec_norm, spec_norms
+from .linalg import left_singular, singular_values, spec_norm, spec_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +229,7 @@ def closure(pair: Letters, out: np.ndarray,
             # projected off twice (one Gram-Schmidt pass loses orthogonality)
             rest = block - basis @ (basis.conj().T @ block)
             rest -= basis @ (basis.conj().T @ rest)
-            u, s, _ = np.linalg.svd(rest, full_matrices=False)
+            u, s = left_singular(rest)
             new = u[:, s > cut]
             if new.shape[1]:
                 basis = np.hstack([basis, new])

@@ -10,7 +10,7 @@ from pencildil import (FactorMismatch, FejerRieszFactor, GramCoefficients,
                        bauer_factorize, build_canonical, factorization,
                        gram_coefficients, isometry_defect, outer_roots,
                        outer_surrogate_check)
-from pencildil.linalg import spec_norm
+from pencildil.linalg import orthonormal_range, spec_norm
 from pencildil.pencil import evaluate, unit_circle_grid
 
 SCALAR = LinearPencil([[0.5]], [[0.3]])
@@ -194,6 +194,31 @@ def test_outer_root_check_runs_at_every_dimension(monkeypatch):
                         lambda f: np.array([0.5 + 0j]))
     with pytest.raises(NoConvergence, match="not outer"):
         bauer_factorize(g)
+
+
+def test_outer_roots_equal_scipy_eigvals_bitwise(all_chains):
+    # zggev called directly gives scipy.linalg.eigvals' finite roots, bit
+    # for bit: on the corpus factors, a wide factor (dim Y < dim H) and
+    # square pencils up to the blocked sizes of QZ
+    rng = np.random.default_rng(29)
+
+    def gauss(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    factors = [c.factor for c in all_chains]
+    factors += [FejerRieszFactor(gauss(2, 5), gauss(2, 5))]
+    factors += [FejerRieszFactor(gauss(n, n), gauss(n, n)) for n in (1, 3, 40, 140)]
+    for f in factors:
+        if f.dim_h == f.dim_y:
+            a, b = f.f0, f.f1
+        else:  # compressed onto the row space of f0, as outer_roots does
+            w = orthonormal_range(f.f0.conj().T).basis
+            a, b = f.f0 @ w, f.f1 @ w
+        want = scipy.linalg.eigvals(a, -b)
+        assert np.array_equal(outer_roots(f), want[np.isfinite(want)])
+    # an infinite root (b singular) is left out, as it always was
+    f = FejerRieszFactor(np.eye(2), np.diag([0.5, 0.0]))
+    assert np.array_equal(outer_roots(f), [-2.0 + 0j])
 
 
 def test_not_outer_message_shows_the_distance_to_the_circle(monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 from pencildil import (ContainmentViolation, NotHermitian, NotPSD,
                        SubspaceBasis, numerical_rank, orthocomplement_within,
                        orthonormal_range, projector, psd_sqrt)
-from pencildil.linalg import canonicalize_phases, spec_norm
+from pencildil.linalg import (canonicalize_phases, hermitian_eigen,
+                              left_singular, singular_values, spec_norm)
 
 
 def complex_matrices(max_dim=4):
@@ -151,6 +156,69 @@ def test_bit_identical_determinism():
     r1 = psd_sqrt(m.conj().T @ m, tol=1e-8)
     r2 = psd_sqrt(m.conj().T @ m, tol=1e-8)
     assert np.array_equal(r1, r2)
+
+
+def kernel_matrices(rng):
+    """Random complex matrices: empty, 1 x n, n x 1, square and oblong ones
+    (past LAPACK's blocking crossover of 128 too), rank-deficient and
+    1e-14-scaled."""
+    def gauss(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1), (2, 2), (6, 6),
+              (7, 3), (3, 7), (12, 12), (40, 9), (300, 40), (130, 140)]
+    for m, n in shapes:
+        yield gauss(m, n)
+        yield 1e-14 * gauss(m, n)
+        if min(m, n) > 1:
+            yield gauss(m, 1) @ gauss(1, n)  # rank one
+            yield gauss(m, 2) @ gauss(2, n)
+    for n in range(1, 9):
+        for _ in range(20):
+            yield gauss(n, int(rng.integers(1, 9)))
+
+
+def compare_kernels_to_numpy():
+    rng = np.random.default_rng(71)
+    for m in kernel_matrices(rng):
+        s = np.linalg.svd(m, compute_uv=False)
+        assert np.array_equal(singular_values(m), s)
+        assert spec_norm(m) == (float(s[0]) if m.size else 0.0)
+        u, s_thin, _ = np.linalg.svd(m, full_matrices=False)
+        got_u, got_s = left_singular(m)
+        assert got_u.shape == u.shape
+        assert np.array_equal(got_u, u) and np.array_equal(got_s, s_thin)
+        if m.shape[0] == m.shape[1]:
+            h = m + m.conj().T
+            w, v = np.linalg.eigh(h)
+            got_w, got_v = hermitian_eigen(h)
+            assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
+
+
+def test_direct_kernels_equal_numpy_bitwise():
+    # The kernels call the LAPACK routines numpy.linalg calls, with its
+    # options and workspace, so every result is numpy's bit for bit.  That
+    # holds with one BLAS thread, as CI and the benchmark run: scipy and
+    # numpy each bring their own OpenBLAS, whose threaded products on
+    # larger matrices round differently.  So the comparison runs in a
+    # fresh process with the thread counts pinned.
+    pinned = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                            "VECLIB_MAXIMUM_THREADS"), "1")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    code = "import test_linalg; test_linalg.compare_kernels_to_numpy()"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path, **pinned))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_direct_kernels_raise_when_lapack_fails():
+    bad = np.full((3, 3), np.nan + 0j)
+    for kernel in (spec_norm, singular_values, left_singular, hermitian_eigen):
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel(bad)
 
 
 @settings(max_examples=30, deadline=None)

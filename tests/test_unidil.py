@@ -10,10 +10,10 @@ from pencildil import (BuiltinExample, FejerRieszFactor, LinearPencil,
                        build_unitary, builtin_example, canonical_chain,
                        ShapeMismatch, check_biinner, check_dilation,
                        check_minimality, check_minimality_unitary,
-                       check_uniform, classify, coefficient_norms,
-                       core_subspaces, gram_coefficients, isometry_defect,
-                       q_identity_defect, run_pipeline, unit_circle_grid,
-                       unitarity_report)
+                       check_uniform, check_unitarity, classify,
+                       coefficient_norms, core_subspaces, gram_coefficients,
+                       isometry_defect, q_identity_defect, run_pipeline,
+                       unit_circle_grid)
 from pencildil import unidil, verify
 from pencildil.isodil import dense_coefficient, window_dim
 from pencildil.linalg import spec_norm
@@ -74,7 +74,7 @@ def test_core_within_the_isometry_cutoff_runs_every_report(monkeypatch):
     # which build_canonical accepts (cutoff 1e-8); core_subspaces used to
     # reject the same core with an absolute 1e-10 range-overlap test.
     # The three reports that contain the core's own defect (q-identities
-    # and theta-biinner as a sub-block, unitarity on random vectors) fail
+    # and theta-biinner as a sub-block, unitarity on U's letters) fail
     # at their tighter tolerances, by no more than the cutoff allows.
     exact = verify.bauer_factorize
 
@@ -173,16 +173,101 @@ def test_window_letters_match_slot_oracle(all_chains):
                 assert np.linalg.norm(dense - exact) <= 1e-12 * scale
 
 
-def test_unitarity_report_catches_a_wrong_q(scalar_chain):
+def test_check_unitarity_catches_a_wrong_q(scalar_chain):
     # -q1 keeps Q isometric, so QPencil accepts it, but [C | Q] is no
     # longer unitary: Q no longer closes the defect of V
     u = scalar_chain.u
     wrong = UnitaryDilation(v=u.v, q=QPencil(u.q.q0, -u.q.q1), cores=u.cores)
     assert q_identity_defect(wrong) > 1.0
-    report = unitarity_report(wrong)
+    report = check_unitarity(wrong)
     assert not report.passed and report.worst_residual > 1.0
-    assert set(report.witness) == {"sample", "lambda"}
-    assert unitarity_report(u).passed
+    assert report.witness in ({"side": "U^*U"}, {"side": "UU^*"})
+    sides = {d["side"]: d["residual"] for d in report.details}
+    assert report.worst_residual == sides[report.witness["side"]] == max(sides.values())
+    passed = check_unitarity(u)
+    assert passed.passed and passed.witness is None
+
+
+def test_unitarity_reads_the_letters_of_u(monkeypatch, all_chains):
+    # Letters without the future shift (U0 no longer moves future slot k + 1
+    # onto k) leave [C | Q] unitary, so q-identities passes, but U is no
+    # longer unitary: unitarity reads U's own letters, which is why both
+    # reports are kept.
+    exact = unidil.dense_u_coefficient
+
+    def no_future_shift(u, j, tail_depth, future_depth):
+        m = exact(u, j, tail_depth, future_depth)
+        kdim = window_dim(u.v, tail_depth)
+        m[kdim:, kdim + u.dim_u:] = 0.0
+        return m
+
+    monkeypatch.setattr(unidil, "dense_u_coefficient", no_future_shift)
+    for chain in all_chains[:6]:
+        assert q_identity_defect(chain.u) <= 1e-9
+        report = check_unitarity(chain.u)
+        # both sides lose the future slot the shift no longer fills or empties
+        assert not report.passed
+        assert all(d["residual"] >= 1.0 - 1e-12 for d in report.details)
+        assert report.witness in ({"side": "U^*U"}, {"side": "UU^*"})
+
+
+def loop_random_window(rng, u, count, future=2):
+    """``count`` random vectors of K on tail slots -1..-3, the head and future
+    slots 1..future, drawn slot by slot (real parts, then imaginary parts)
+    with a lambda after each vector; the window has tail depth
+    3 + core_depth + 2 and future depth future + 2, so the letters act
+    exactly for one step forward and one back, in either order."""
+    tail = 3
+    t, f = tail + u.core_depth + 2, future + 2
+    dy, du = u.dim_y, u.dim_u
+    kdim = window_dim(u.v, t)
+    x = np.zeros((kdim + f * du, count), dtype=complex)
+    lam = np.zeros(count, dtype=complex)
+
+    def normal(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    for i in range(count):
+        for n in range(1, tail + 1):  # slot -n
+            x[(t - n) * dy:(t - n + 1) * dy, i] = normal(dy)
+        x[t * dy:kdim, i] = normal(u.dim_h)
+        for n in range(future):  # future slot n + 1
+            x[kdim + n * du:kdim + (n + 1) * du, i] = normal(du)
+        lam[i] = np.exp(2j * np.pi * rng.uniform())
+    return x, lam, t, f
+
+
+def sampled_unitarity(u, count=50, seed=verify.CORPUS_SEED):
+    """Largest | ||Ux|| - ||x|| |, ||U^*Ux - x|| or ||UU^*x - x|| per unit
+    ||x|| over ``count`` random window columns, each at its own lambda:
+    the sampled check that ``check_unitarity`` replaces."""
+    x, lam, t, f = loop_random_window(np.random.default_rng(seed), u, count)
+    ops = u_letters(u, t, f)
+    ux = act(ops, lam, x)
+    size = np.linalg.norm(x, axis=0)
+    resid = np.maximum.reduce([
+        np.abs(np.linalg.norm(ux, axis=0) - size),
+        np.linalg.norm(act(ops, lam, ux, adjoint=True) - x, axis=0),
+        np.linalg.norm(act(ops, lam, act(ops, lam, x, adjoint=True)) - x, axis=0),
+    ])
+    return float((resid / size).max())
+
+
+def test_unitarity_bounds_the_sampled_residual(all_chains):
+    # Each sampled residual is at most M ||x|| for the circle maximum M of
+    # ||U^*U - I|| or ||UU^* - I||, and the exact residual is at least M.
+    # Where U is unitary both are round-off (the exact one is 0.0 on the
+    # shift builtins), hence the 1e-14 allowance; a wrong Q (-q1, still
+    # isometric) makes both large.
+    units = [c.u for c in all_chains] + [build_unitary(builtin_example(n))
+                                        for n in BuiltinExample]
+    for u in units:
+        assert sampled_unitarity(u) <= check_unitarity(u).worst_residual + 1e-14
+        wrong = UnitaryDilation(v=u.v, q=QPencil(u.q.q0, -u.q.q1), cores=u.cores)
+        exact = check_unitarity(wrong).worst_residual
+        assert sampled_unitarity(wrong) <= exact * (1 + 1e-12) + 1e-14
+        if spec_norm(u.q.q1) > 0.1:
+            assert sampled_unitarity(wrong) > 0.1
 
 
 def test_extension_property_is_exact(all_chains):

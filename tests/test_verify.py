@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from pencildil import (BuiltinExample, LinearPencil, NotADilation,
-                       NotContractive, PencilKind, Report, build_unitary,
-                       builtin_example, canonical_chain, check_dilation,
-                       check_minimality, check_minimality_unitary,
-                       check_uniform, classify, classical_slice,
-                       demo, equivalence_falsifier, run_pipeline,
-                       seeded_corpus)
-from pencildil.isodil import window_dim
-from pencildil.verify import DemoName, _random_window
+                       NotContractive, PencilKind, Report, builtin_example,
+                       canonical_chain, check_dilation, check_minimality,
+                       check_minimality_unitary, check_uniform, classify,
+                       classical_slice, demo, equivalence_falsifier,
+                       run_pipeline, seeded_corpus)
+from pencildil.verify import DemoName
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
 
@@ -95,43 +93,6 @@ def test_corpus_is_seeded_and_certified():
     for p in classical_slice(c1):
         assert classify(p).is_contractive
         assert not np.any(p.a1)
-
-
-def loop_random_window(rng, u, count, future=2):
-    """The vectors of ``_random_window`` drawn slot by slot, two draws per
-    slot (real parts, then imaginary parts) and a lambda after each vector."""
-    tail = 3
-    t, f = tail + u.core_depth + 2, future + 2
-    dy, du = u.dim_y, u.dim_u
-    kdim = window_dim(u.v, t)
-    x = np.zeros((kdim + f * du, count), dtype=complex)
-    lam = np.zeros(count, dtype=complex)
-
-    def normal(n):
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    for i in range(count):
-        for n in range(1, tail + 1):  # slot -n
-            x[(t - n) * dy:(t - n + 1) * dy, i] = normal(dy)
-        x[t * dy:kdim, i] = normal(u.dim_h)
-        for n in range(future):  # future slot n + 1
-            x[kdim + n * du:kdim + (n + 1) * du, i] = normal(du)
-        lam[i] = np.exp(2j * np.pi * rng.uniform())
-    return x, lam, t, f
-
-
-def test_random_window_matches_the_slot_loop(all_chains):
-    units = [c.u for c in all_chains[:6]] + [
-        canonical_chain(ZERO).u,
-        canonical_chain(LinearPencil(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).u,
-        build_unitary(builtin_example(BuiltinExample.NON_UNIFORM_V)),
-        build_unitary(builtin_example(BuiltinExample.LAMBDA_SHIFT))]
-    for u in units:
-        for count, future in ((50, 2), (10, 0), (3, 5)):
-            got = _random_window(np.random.default_rng(7), u, count, future)
-            want = loop_random_window(np.random.default_rng(7), u, count, future)
-            assert got[2:] == want[2:]
-            assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
 
 
 def test_falsifier_shift_vs_lambda_shift():

@@ -8,13 +8,16 @@ third corpus chain with the head block of its core moved by 1e-12 (they
 pass) and by 1e-6 (they fail), which leaves the exact route for the
 closure, both minimality reports at their default depth of the padded
 shift (a deficit of 1) and of the depth-2 non-uniform dilation (word cap
-6 for U), self-falsifiers of the first corpus pencil of each dimension
-1..4 at depths 6 and 7, and four hard valid pencils at n = 4 (dim Y < dim H,
-a1 = 0, nilpotent, margin 1e-6), each classified on grids of 8, 64 and
-256 points and run through the pipeline at depth 2; the first two have a
-flat norm, where localised grid decisions evaluate the whole grid.  Keys are sorted and floats are written in full, so two
-runs of the same code give byte-identical files and runs of two revisions
-can be compared line by line.
+6 for U), the unitarity report of the scalar pencil's U with its Q made
+-q1 (still isometric, but U is not unitary: it fails), self-falsifiers
+of the first corpus pencil of each dimension 1..4 at depths 6 and 7, and
+four hard valid pencils at n = 4 (dim Y < dim H, a1 = 0, nilpotent,
+margin 1e-6), each classified on grids of 8, 64 and 256 points and run
+through the pipeline at depth 2; the first two have a flat norm, where
+localised grid decisions evaluate the whole grid.  Keys are sorted and
+floats are written in full, so two runs of the same code give
+byte-identical files and runs of two revisions can be compared line by
+line.
 
 Run from the repository root:
 
@@ -130,6 +133,9 @@ def cases():
         yield f"moved-head-{eps:g}", lambda eps=eps: [
             check(d, corpus[2]) for d in _moved_head(chain, eps)
             for check in (pd.check_dilation, pd.check_uniform)]
+    u = pd.canonical_chain(PENCILS["scalar"]).u
+    wrong = pd.UnitaryDilation(v=u.v, q=pd.QPencil(u.q.q0, -u.q.q1), cores=u.cores)
+    yield "unitarity-wrong-q", lambda: [pd.check_unitarity(wrong)]
     for label, v in (("padded-shift", _padded_shift()), ("non-uniform-v", vt)):
         yield f"minimality-{label}", lambda v=v: [
             pd.check_minimality(v, ZERO),
