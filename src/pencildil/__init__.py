@@ -14,8 +14,7 @@ from .linalg import (DEFAULT_TOLERANCES, SubspaceBasis, ToleranceProfile,
                      numerical_rank, orthocomplement_within,
                      orthonormal_range, projector, psd_sqrt)
 from .pencil import (LinearPencil, PencilClass, PencilKind, classify,
-                     evaluate, evaluate_all, isometry_defect,
-                     symmetrized_multipower, unit_circle_grid)
+                     evaluate, evaluate_all, isometry_defect, unit_circle_grid)
 from .reporting import Report
 from .unidil import (CoreSubspaces, QPencil, UnitaryDilation, assemble_theta,
                      build_q, build_unitary, check_biinner,

@@ -24,12 +24,10 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import CapExceeded, ShapeMismatch
+from .errors import ShapeMismatch
 from .linalg import as_matrix, spec_norm, spec_norms
-from .words import Letters, grouped_sums
 
 DEFAULT_GRID = 256
-WORD_LENGTH_CAP = 10
 # An eigenvalue z of the palindromic quadratic with ||z| - 1| <= _ROOT_BAND
 # counts as a root of det R on the circle.  A spurious root only splits an
 # arc in two, so the band errs wide.
@@ -44,6 +42,9 @@ _GRAM_FLOOR = 1e-7
 # evaluates the points within this relative slack of its square.
 _COARSE = 16
 _PEAK_SLACK = 1e-9
+# When every grid point is within that slack, ``classify`` bounds the peak
+# from above at gamma * (1 + _FLAT_BAND) instead.
+_FLAT_BAND = 1e-12
 
 
 def unit_circle_grid(n: int) -> np.ndarray:
@@ -203,7 +204,12 @@ class PencilKind(Enum):
 
 @dataclass(frozen=True)
 class PencilClass:
-    """Classification verdict with the grid norm statistics behind it."""
+    """Classification verdict with the grid norm statistics behind it.
+
+    ``classify`` may leave ``margin`` and ``max_norm_on_grid`` to be
+    computed on their first read (see ``classify``); equality, hashing and
+    repr read them like any other field.
+    """
 
     kind: PencilKind
     certified: bool
@@ -213,6 +219,66 @@ class PencilClass:
     @property
     def is_contractive(self) -> bool:
         return self.kind is not PencilKind.NONE
+
+    @classmethod
+    def _with_peak(cls, kind: PencilKind, certified: bool, peak) -> PencilClass:
+        """A verdict whose ``(margin, max_norm_on_grid)`` is ``peak()``,
+        called on the first read of either."""
+        verdict = object.__new__(cls)
+        object.__setattr__(verdict, "kind", kind)
+        object.__setattr__(verdict, "certified", certified)
+        object.__setattr__(verdict, "_peak", peak)
+        return verdict
+
+    def __getattr__(self, name):
+        # reached only for names not in __dict__, such as the two peak
+        # fields of a ``_with_peak`` verdict before their first read
+        if name not in ("margin", "max_norm_on_grid") or "_peak" not in self.__dict__:
+            raise AttributeError(name)
+        peak = self.__dict__.pop("_peak")
+        margin, max_norm = peak()
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "max_norm_on_grid", max_norm)
+        return getattr(self, name)
+
+
+def _decide(p: LinearPencil, low: float, high: float, grid_size: int,
+            tol: float) -> tuple[PencilKind, bool] | None:
+    """``(kind, certified)`` of a pencil whose grid peak lies in [low, high],
+    or None when a cut of ``classify`` falls inside the interval.
+
+    Each cut compares a floating-point expression that is nondecreasing in
+    the peak (rounding is monotone): ``4 m^2`` against overflow, ``m^2 - 1``
+    against ``tol`` and ``m`` against ``1 - lip``.  A test that gives the
+    same answer at both ends gives it at every point in between.
+    """
+    if math.isinf(4.0 * low * low):
+        # ||a0^H a0 + a1^H a1|| <= max ||T||^2 < 4 max_grid ||T||^2 on a grid
+        # of 8 or more points, so the Gram of ``isometry_defect`` could
+        # overflow: the pencil is far from contractive and is not squared
+        return PencilKind.NONE, False
+    if math.isinf(4.0 * high * high):
+        return None
+    if isometry_defect(p) <= tol:
+        unitary = isometry_defect(LinearPencil(p.a0.conj().T, p.a1.conj().T)) <= tol
+        return (PencilKind.UNITARY if unitary else PencilKind.ISOMETRIC), True
+    contractive = low ** 2 - 1.0 <= tol
+    if contractive != (high ** 2 - 1.0 <= tol):
+        return None
+    if not contractive:
+        return PencilKind.NONE, False
+    lip = spec_norm(p.a1) * math.pi / grid_size
+    certified = low <= 1.0 - lip
+    if certified != (high <= 1.0 - lip):
+        return None
+    return PencilKind.CONTRACTIVE, certified
+
+
+def _grid_statistics(kind: PencilKind, max_norm: float) -> tuple[float, float]:
+    """``(margin, max_norm_on_grid)`` of a verdict: boundary pencils
+    (isometric ones) have margin 0."""
+    isometric = kind in (PencilKind.UNITARY, PencilKind.ISOMETRIC)
+    return (0.0 if isometric else 1.0 - max_norm), max_norm
 
 
 def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
@@ -233,9 +299,29 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     points give gamma, and only the ``candidate_indices`` of
     (1 - 1e-9) I - T^H T / gamma^2, the points where ||T||^2 may exceed
     gamma^2 (1 - 1e-9), join them.  The grid maximum lies among them, so
-    the value is bitwise the one of the whole grid; a flat norm (isometric
-    blocks) or a1 = 0 makes every grid point a candidate.  A pencil whose
+    the value is bitwise the one of the whole grid.  A pencil whose
     squared grid norm is near overflow is NONE without an isometry test.
+
+    A norm that is the same at every lambda (a1 = 0, or an isometric block
+    as with dim Y < dim H) makes every grid point such a candidate.  Then
+    the test is taken from the other side: when ``candidate_indices`` of
+    (1 + 1e-12) I - T^H T / gamma^2 is empty, ||T(lam_k)||^2 < gamma^2
+    (1 + 1e-12) at every grid point, and the grid maximum m lies in
+    [gamma, gamma (1 + 1e-12)].  The lower end holds because the coarse
+    points are grid points; the upper end covers gamma sqrt(1 + 1e-12)
+    with room (about 5e-13 relative) for the round-off of the eigenvalue
+    test and of the SVD, near 1e-15.  The verdict is a function of m whose
+    three cuts each compare an expression nondecreasing in m (see
+    ``_decide``; the isometry test does not read m), so when every cut
+    answers the same at both ends it answers the same at m: ``kind`` and
+    ``certified`` are those of the whole grid, decided from one more QZ.
+    ``margin`` and ``max_norm_on_grid`` are then computed on the whole grid
+    the first time either is read, with the same values.  The whole grid
+    is evaluated at once instead when a cut falls inside the band (the
+    fallback band: gamma^2 - 1 at most about 2e-12 below ``tol``, 1 - lip
+    in the band, or overflow at its upper end only), when
+    ``unimodular_roots`` finds det of the shifted symbol vanishing on the
+    whole circle, or when the second test leaves a candidate.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -245,48 +331,25 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     coarse = np.unique(np.arange(_COARSE) * grid_size // _COARSE)
     gamma = float(spec_norms(evaluate_all(p, grid[coarse])).max())
     a0, a1 = (p.a0 / gamma, p.a1 / gamma) if gamma > 0 else (p.a0, p.a1)
-    level = (1.0 - _PEAK_SLACK) * np.eye(p.shape[1])
-    found = candidate_indices(level - a0.conj().T @ a0 - a1.conj().T @ a1,
-                              -a0.conj().T @ a1, grid_size)
+    eye = np.eye(p.shape[1])
+    cross = -a0.conj().T @ a1
+    found = candidate_indices((1.0 - _PEAK_SLACK) * eye - a0.conj().T @ a0
+                              - a1.conj().T @ a1, cross, grid_size)
     rest = np.zeros(grid_size, dtype=bool)
     rest[found] = True
     rest[coarse] = False
-    max_norm = float(spec_norms(evaluate_all(p, grid[rest])).max(initial=gamma))
 
-    if math.isinf(4.0 * max_norm * max_norm):
-        # ||a0^H a0 + a1^H a1|| <= max ||T||^2 < 4 max_grid ||T||^2 on a grid
-        # of 8 or more points, so the Gram of ``isometry_defect`` could
-        # overflow: the pencil is far from contractive and is not squared
-        return PencilClass(PencilKind.NONE, certified=False,
-                           margin=1.0 - max_norm, max_norm_on_grid=max_norm)
-    if isometry_defect(p) <= tol:
-        unitary = isometry_defect(LinearPencil(p.a0.conj().T, p.a1.conj().T)) <= tol
-        kind = PencilKind.UNITARY if unitary else PencilKind.ISOMETRIC
-        return PencilClass(kind, certified=True, margin=0.0, max_norm_on_grid=max_norm)
+    def peak() -> float:
+        return float(spec_norms(evaluate_all(p, grid[rest])).max(initial=gamma))
 
-    margin = 1.0 - max_norm
-    if max_norm ** 2 - 1.0 <= tol:
-        lip = spec_norm(p.a1) * math.pi / grid_size
-        return PencilClass(PencilKind.CONTRACTIVE, certified=max_norm <= 1.0 - lip,
-                           margin=margin, max_norm_on_grid=max_norm)
-    return PencilClass(PencilKind.NONE, certified=False, margin=margin,
-                       max_norm_on_grid=max_norm)
-
-
-def symmetrized_multipower(p: LinearPencil, t: tuple[int, int],
-                           word_cap: int = WORD_LENGTH_CAP) -> np.ndarray:
-    """Average of all ordered products with a0 used t[0] and a1 used t[1] times.
-
-    Equals the binomial-normalized sum over coefficient words; e.g.
-    t = (1, 2) gives (a0 a1^2 + a1 a0 a1 + a1^2 a0) / 3.
-    """
-    t0, t1 = t
-    if t0 < 0 or t1 < 0:
-        raise ValueError("multipower indices must be nonnegative")
-    n = t0 + t1
-    if n > word_cap:
-        raise CapExceeded(f"word length {n} exceeds cap {word_cap}")
-    if p.shape[0] != p.shape[1]:
-        raise ShapeMismatch("multipowers require a square pencil")
-    *_, sums = grouped_sums(Letters.plain((p.a0, p.a1)), n)
-    return sums[t1] / math.comb(n, t1)
+    if found.size == grid_size and not candidate_indices(
+            (1.0 + _FLAT_BAND) * eye - a0.conj().T @ a0 - a1.conj().T @ a1,
+            cross, grid_size).size:
+        decided = _decide(p, gamma, gamma * (1.0 + _FLAT_BAND), grid_size, tol)
+        if decided is not None:
+            kind, certified = decided
+            return PencilClass._with_peak(kind, certified,
+                                          lambda: _grid_statistics(kind, peak()))
+    max_norm = peak()
+    kind, certified = _decide(p, max_norm, max_norm, grid_size, tol)
+    return PencilClass(kind, certified, *_grid_statistics(kind, max_norm))

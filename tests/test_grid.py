@@ -14,6 +14,7 @@ the tower at each lambda; both references act slot by slot through
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,11 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencildil import (FejerRieszFactor, GramCoefficients, LinearPencil,
-                       NoConvergence, NotPSD, PencilError, Report,
+                       NoConvergence, NotContractive, NotPSD, PencilError, Report,
                        bauer_factorize, canonical_chain, check_biinner,
                        check_dilation, classify, evaluate_all,
                        isometry_defect, outer_surrogate_check, run_pipeline,
                        seeded_corpus)
+from pencildil import linalg
 from pencildil.factorization import factorization_residuals
 from pencildil.isodil import window_dim
 from pencildil.linalg import numerical_rank, ranks, spec_norm, spec_norms
@@ -96,6 +98,13 @@ def loop_classify(p, grid_size=256, tol=1e-10):
         return PencilClass(PencilKind.CONTRACTIVE, max_norm <= 1.0 - lip,
                            margin, max_norm)
     return PencilClass(PencilKind.NONE, False, margin, max_norm)
+
+
+def verdict_before_peak(p, grid_size):
+    """``kind`` and ``certified`` of a fresh ``classify`` result, read
+    before its peak (``margin``, ``max_norm_on_grid``) is."""
+    verdict = classify(p, grid_size)
+    return verdict.kind, verdict.certified
 
 
 def loop_not_psd_message(g, grid_size=256, tol=1e-12):
@@ -233,12 +242,108 @@ def test_classify_matches_loop(pencils):
                for p in pencils[3:5]]
     for p in pencils + scaled + near_tol + extreme:
         for grid_size in (8, 256):
+            want = loop_classify(p, grid_size)
+            assert verdict_before_peak(p, grid_size) == (want.kind, want.certified)
             assert classify(p, grid_size) == loop_classify(p, grid_size)
     assert [classify(p).kind for p in near_tol] == [PencilKind.CONTRACTIVE,
                                                     PencilKind.NONE,
                                                     PencilKind.NONE]
     kinds = {classify(p).kind for p in pencils + scaled}
     assert kinds == {PencilKind.CONTRACTIVE, PencilKind.UNITARY, PencilKind.NONE}
+
+
+def spec_norm_rows(monkeypatch):
+    """A list that collects the number of matrices of every stack passed
+    to ``linalg.spec_norms``, from whichever module calls it."""
+    rows = []
+    real = linalg.spec_norms
+
+    def counting(stack):
+        stack = np.asarray(stack)
+        rows.append(math.prod(stack.shape[:-2]))
+        return real(stack)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pencildil" and vars(module).get("spec_norms") is real:
+            monkeypatch.setattr(module, "spec_norms", counting)
+    return rows
+
+
+@pytest.mark.parametrize("family, dim_y, certified", [("flat", 4, False),
+                                                     ("a1=0", 8, True)])
+def test_flat_chains_evaluate_only_the_coarse_points(monkeypatch, family, dim_y,
+                                                     certified):
+    # the edge workload's dim Y < dim H and a1 = 0 pencils at n = 8: their
+    # norm is flat (1 and 0.95), and the chain reads only whether they are
+    # contractive
+    t = family_pencil(family, 8, 0, 0.05)
+    rows = spec_norm_rows(monkeypatch)
+    assert canonical_chain(t).factor.dim_y == dim_y
+    assert rows == [16]
+    verdict, want = classify(t), loop_classify(t)
+    assert (verdict.kind, verdict.certified) == (PencilKind.CONTRACTIVE, certified)
+    assert rows == [16, 16]
+    # the peak, once read, is the whole grid's
+    assert repr(verdict) == repr(want) and hash(verdict) == hash(want)
+    assert verdict == want
+    assert rows == [16, 16, 240]
+
+
+@pytest.mark.parametrize("peak_sq, certified", [
+    (1.0 + 1e-10 - 0.5e-12, False),  # gamma^2 - 1 just below tol = 1e-10
+    ((1.0 - 0.5e-12) ** 2, True),    # gamma just below 1 - lip = 1 (a1 = 0)
+])
+def test_flat_pencils_in_the_fallback_band_take_the_whole_grid(monkeypatch, peak_sq,
+                                                              certified):
+    # a cut inside [gamma, gamma (1 + 1e-12)]: only the whole grid decides
+    t = family_pencil("a1=0", 4, 5, 0.0)
+    t = LinearPencil(math.sqrt(peak_sq) / spec_norm(t.a0) * t.a0, t.a1)
+    rows = spec_norm_rows(monkeypatch)
+    for grid_size in GRID_SIZES:
+        coarse = min(grid_size, 16)
+        rows.clear()
+        verdict = classify(t, grid_size)
+        assert rows == [coarse, grid_size - coarse]
+        assert verdict == loop_classify(t, grid_size)
+        assert (verdict.kind, verdict.certified) == (PencilKind.CONTRACTIVE, certified)
+    # outside the band the same pencil is decided on the coarse points
+    t = LinearPencil((1.0 - 1e-6) / spec_norm(t.a0) * t.a0, t.a1)
+    rows.clear()
+    assert verdict_before_peak(t, 256) == (PencilKind.CONTRACTIVE, True)
+    assert rows == [16]
+
+
+def test_a_flat_block_at_the_level_does_not_hide_a_peak():
+    # diag(c, b (1 + lam conj(mu)) / 2): the scalar peaks at |b| = 1.001 at
+    # mu, grid point 8 of 256, midway between two coarse points, where it
+    # is gamma = |b| cos(pi / 32) < 1.  With c^2 = gamma^2 (1 - 1e-9), det R
+    # of the slack test vanishes on the whole circle and every point is a
+    # candidate, yet the peak lies far above gamma (1 + 1e-12): the second
+    # test finds the arc around mu, and only the whole grid says NONE
+    grid = unit_circle_grid(256)
+    b = LinearPencil([[0.5005]], [[0.5005 * np.conj(grid[8])]])
+    gamma = spec_norms(evaluate_all(b, grid[::16])).max()
+    assert gamma < 1.0
+    c = gamma * math.sqrt(1.0 - 1e-9)
+    t = LinearPencil(np.diag([c, b.a0[0, 0]]), np.diag([0.0, b.a1[0, 0]]))
+    for grid_size in GRID_SIZES:
+        assert classify(t, grid_size) == loop_classify(t, grid_size)
+    assert classify(t).kind is PencilKind.NONE
+    assert classify(t).max_norm_on_grid == pytest.approx(1.001, abs=1e-15)
+
+
+@pytest.mark.parametrize("family", ["flat", "a1=0"])
+def test_flat_pencils_beyond_the_circle_keep_their_messages(family):
+    t = family_pencil(family, 4, 4, 0.0)
+    t = LinearPencil(1.001 * t.a0, 1.001 * t.a1)
+    peak = loop_classify(t).max_norm_on_grid
+    with pytest.raises(NotContractive) as chain_error:
+        canonical_chain(t)
+    assert str(chain_error.value) == f"pencil is not contractive (grid max norm {peak:.6f})"
+    with pytest.raises(NotContractive) as pipeline_error:
+        run_pipeline(t)
+    assert (str(pipeline_error.value)
+            == f"pipeline requires a contractive pencil (max norm {peak:.6f})")
 
 
 def test_not_psd_names_the_same_lambda():
@@ -486,6 +591,8 @@ def check_localised_decisions(family, n, seed, margin, scale, k):
     t = family_pencil(family, n, seed, margin)
     scaled = LinearPencil(scale * t.a0, scale * t.a1)
     for grid_size in GRID_SIZES:
+        want = loop_classify(scaled, grid_size)
+        assert verdict_before_peak(scaled, grid_size) == (want.kind, want.certified)
         assert classify(scaled, grid_size) == loop_classify(scaled, grid_size)
         for tol in (1e-12, 0.5):
             assert (not_psd_message(symbol(scaled), grid_size, tol)

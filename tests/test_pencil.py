@@ -10,11 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from pencildil import (CapExceeded, LinearPencil, NotContractive, PencilKind,
                        ShapeMismatch, classify, evaluate, evaluate_all,
-                       isometry_defect, run_pipeline, symmetrized_multipower,
-                       unit_circle_grid)
+                       isometry_defect, run_pipeline, unit_circle_grid)
 from pencildil.isodil import BuiltinExample, builtin_example
 from pencildil.linalg import adjoints, spec_norm, spec_norms
 from pencildil.words import Letters
+from multipower_oracle import symmetrized_multipower
 from word_oracle import levels, word_label
 
 

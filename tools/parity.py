@@ -13,11 +13,13 @@ shift (a deficit of 1) and of the depth-2 non-uniform dilation (word cap
 of the first corpus pencil of each dimension 1..4 at depths 6 and 7, and
 four hard valid pencils at n = 4 (dim Y < dim H, a1 = 0, nilpotent,
 margin 1e-6), each classified on grids of 8, 64 and 256 points and run
-through the pipeline at depth 2; the first two have a flat norm, where
-localised grid decisions evaluate the whole grid.  Keys are sorted and
-floats are written in full, so two runs of the same code give
-byte-identical files and runs of two revisions can be compared line by
-line.
+through the pipeline at depth 2; the first two have a flat norm, which
+``classify`` decides without its grid peak.  A constant pencil whose
+squared norm lies 5e-13 below 1 + tol, inside the band where that
+decision falls back to the whole grid, is classified on the same three
+grids.  Keys are sorted and floats are written in full, so two runs of
+the same code give byte-identical files and runs of two revisions can be
+compared line by line.
 
 Run from the repository root:
 
@@ -28,13 +30,16 @@ and compare two such files (say, of two revisions) with
     PYTHONPATH=src python tools/parity.py --compare old.jsonl new.jsonl
 
 which lists each (case, check, field) that differs, with the largest
-absolute difference of its numbers, and exits 1 when a case, a report
-name or a verdict (``pass``, or a falsifier's witness verdict) differs.
+absolute difference of its numbers, and exits 1 when a report name or a
+verdict (``pass``, or a falsifier's witness verdict) of a case in both
+files differs.  A case in one file only (say, one that calls an API the
+older revision lacks) is listed and compares nothing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,6 +86,15 @@ def edge_pencils(n=4):
     yield "a1=0", rotated(*_at_margin(pair(n)[0], np.zeros((n, n)), 0.05))
     yield "nilpotent", rotated(*_at_margin(*(np.triu(a, 1) for a in pair(n)), 0.05))
     yield "margin1e-6", pd.LinearPencil(*_at_margin(*pair(n), 1e-6))
+
+
+def flat_near_tol(n=4):
+    """A constant pencil with ||T||^2 = 1 + 1e-10 - 5e-13: contractive at
+    classify's default tol, with the cut inside its fallback band."""
+    rng = np.random.default_rng(4343)
+    a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a0 *= math.sqrt(1.0 + 1e-10 - 5e-13) / np.linalg.norm(a0, 2)
+    return pd.LinearPencil(a0, np.zeros((n, n)))
 
 
 def _negated_head(v):
@@ -145,6 +159,9 @@ def cases():
             yield f"edge-{label}-classify-g{grid_size}", \
                 lambda t=t, grid_size=grid_size: [pd.classify(t, grid_size)]
         yield f"edge-{label}-d2", lambda t=t: pd.run_pipeline(t, 2)
+    for grid_size in (8, 64, 256):
+        yield f"flat-near-tol-classify-g{grid_size}", \
+            lambda grid_size=grid_size: [pd.classify(flat_near_tol(), grid_size)]
     for n in range(1, 5):
         t = next(p for p in corpus if p.shape[0] == n)
         u = pd.canonical_chain(t).u
@@ -198,14 +215,14 @@ def _verdict(report: dict):
 
 
 def compare(old_path: str, new_path: str) -> int:
-    """Print the differing fields of two parity files; 1 if a case, report
-    name or verdict differs, else 0."""
+    """Print the one-sided cases and the differing fields of two parity
+    files; 1 if a report name or verdict of a shared case differs, else 0."""
     old, new = _load(old_path), _load(new_path)
-    fatal, moved = False, 0
+    fatal, moved, one_sided = False, 0, 0
     for case in list(old) + [c for c in new if c not in old]:
         if case not in old or case not in new:
             print(f"{case}: only in {old_path if case in old else new_path}")
-            fatal = True
+            one_sided += 1
             continue
         names = [[r["check"] for r in old[case]], [r["check"] for r in new[case]]]
         if names[0] != names[1]:
@@ -224,8 +241,8 @@ def compare(old_path: str, new_path: str) -> int:
                 change = (f"max |delta| {delta:.3g}" if delta is not None else
                           f"{json.dumps(a.get(field))} -> {json.dumps(b.get(field))}")
                 print(f"{case}  {a['check']}  {field}  {change}")
-    print(f"{moved} fields differ; cases, report names and verdicts "
-          + ("DIFFER" if fatal else "agree"))
+    print(f"{moved} fields differ; {one_sided} cases in one file only; "
+          "report names and verdicts of shared cases " + ("DIFFER" if fatal else "agree"))
     return 1 if fatal else 0
 
 
