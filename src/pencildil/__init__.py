@@ -1,9 +1,9 @@
 """Minimal isometric and unitary dilations of contractive linear pencils."""
 
-from .errors import (CapExceeded, ContainmentViolation, DimensionMismatch,
-                     FactorMismatch, NoConvergence, NotADilation,
-                     NotContractive, NotHermitian, NotIsometric, NotPSD,
-                     PencilError, ShapeMismatch)
+from .errors import (ContainmentViolation, DimensionMismatch, FactorMismatch,
+                     NoConvergence, NotADilation, NotContractive,
+                     NotHermitian, NotIsometric, NotPSD, PencilError,
+                     ShapeMismatch)
 from .factorization import (FejerRieszFactor, GramCoefficients,
                             bauer_factorize, gram_coefficients, outer_roots,
                             outer_surrogate_check)
@@ -16,10 +16,9 @@ from .linalg import (DEFAULT_TOLERANCES, SubspaceBasis, ToleranceProfile,
 from .pencil import (LinearPencil, PencilClass, PencilKind, classify,
                      evaluate, evaluate_all, isometry_defect, unit_circle_grid)
 from .reporting import Report
-from .unidil import (CoreSubspaces, QPencil, UnitaryDilation, assemble_theta,
-                     build_q, build_unitary, check_biinner,
-                     check_minimality_unitary, check_unitarity,
-                     core_subspaces, q_identity_defect)
+from .unidil import (CoreSubspaces, QPencil, UnitaryDilation, build_q,
+                     build_unitary, check_biinner, check_minimality_unitary,
+                     check_unitarity, core_subspaces, q_identity_defect)
 from .verify import (CanonicalChain, DemoName, canonical_chain,
                      classical_slice, demo, equivalence_falsifier,
                      run_pipeline, seeded_corpus)

@@ -41,10 +41,6 @@ class FactorMismatch(PencilError):
     """A spectral factor does not reproduce the defect of the pencil."""
 
 
-class CapExceeded(PencilError):
-    """A word-length cap was exceeded."""
-
-
 class NoConvergence(PencilError):
     """An iteration failed to converge; carries the last residual."""
 

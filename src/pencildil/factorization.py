@@ -23,9 +23,9 @@ from scipy.linalg import lapack
 
 from .errors import NoConvergence, NotContractive, NotPSD, ShapeMismatch
 from .linalg import (adjoints, as_matrix, hermitian_eigen, numerical_rank,
-                     orthonormal_range, psd_sqrt, ranks, spec_norm, spec_norms)
+                     orthonormal_range, psd_sqrt, spec_norm, spec_norms)
 from .pencil import (DEFAULT_GRID, LinearPencil, candidate_indices, classify,
-                     evaluate_all, rank_candidates, unit_circle_grid)
+                     evaluate_all, full_rank_on_grid, unit_circle_grid)
 
 # Coefficient matching f0^H f0 + f1^H f1 = r0, f0^H f1 = c must hold to
 # this accuracy for the factor to be accepted.
@@ -257,16 +257,14 @@ def outer_surrogate_check(f: FejerRieszFactor, grid_size: int = DEFAULT_GRID,
 
     This is the consequence of outerness consumed by the minimality
     argument.  It is necessary but not sufficient for outerness; the root
-    location check in bauer_factorize is the stronger certificate.  Only
-    the ``rank_candidates`` of F, the grid points where its smallest
-    singular value may be small enough, get the rank test; the answer is
-    the one of the whole grid.  A ``grid_size`` below 1 raises ValueError.
+    location check in bauer_factorize is the stronger certificate.  The
+    rank test is ``full_rank_on_grid``: only the ``rank_candidates`` of F,
+    the grid points where its smallest singular value may be small enough,
+    are ranked, with the answer of the whole grid.  A ``grid_size`` below 1
+    raises ValueError.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
     if f.dim_y == 0:
         return True
-    p = f.as_pencil()
-    found = rank_candidates(p, f.dim_y, tol, grid_size)
-    values = evaluate_all(p, unit_circle_grid(grid_size)[found])
-    return bool(np.all(ranks(values, tol) == f.dim_y))
+    return full_rank_on_grid(f.as_pencil(), f.dim_y, tol, grid_size)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeAlias
 
 import numpy as np
@@ -72,24 +73,30 @@ class StructuredIsometricPencil:
     def window_prime_dim(self) -> int:
         return (self.core_depth + 1) * self.dim_y + self.dim_h
 
+    @cached_property
+    def core_defect(self) -> float:
+        """``isometry_defect`` of the core, computed on first use and kept:
+        each certificate of the core reads it against its own cutoff."""
+        return isometry_defect(self.core)
+
 
 def build_canonical(t: LinearPencil,
                     f: FejerRieszFactor) -> StructuredIsometricPencil:
     """Canonical minimal isometric dilation: depth-0 core stacking F over T.
 
     F^H F = I - T^H T on the circle says that the core is isometric, so the
-    factor is accepted on the core's ``isometry_defect``.
+    factor is accepted on the core's ``core_defect``.
     """
     if f.dim_h != t.shape[1]:
         raise ShapeMismatch("factor and pencil act on different spaces")
     core = LinearPencil(np.vstack([f.f0, t.a0]), np.vstack([f.f1, t.a1]))
-    residual = isometry_defect(core)
-    if residual > _FACTOR_TOL:
+    v = StructuredIsometricPencil(dim_y=f.dim_y, dim_h=t.shape[0],
+                                  core_depth=0, core=core)
+    if v.core_defect > _FACTOR_TOL:
         raise FactorMismatch(
-            f"factor does not match the pencil defect (residual {residual:.3e})"
+            f"factor does not match the pencil defect (residual {v.core_defect:.3e})"
         )
-    return StructuredIsometricPencil(dim_y=f.dim_y, dim_h=t.shape[0],
-                                     core_depth=0, core=core)
+    return v
 
 
 # V or its unitary extension U; ``_facets`` tells them apart.
@@ -162,7 +169,7 @@ def coefficient_norms(d: Dilation) -> tuple[float, float]:
     coefficient acts through the core block only.
     """
     facets = _facets(d)
-    shift = 1.0 if facets.shifts else 0.0
+    shift = 1.0 if d.dim_y > 0 or facets.future_dim > 0 else 0.0
     return max(shift, spec_norm(facets.block.a0)), spec_norm(facets.block.a1)
 
 
@@ -181,8 +188,12 @@ def word_letters(v: StructuredIsometricPencil, n_t: int,
 class _Facets(NamedTuple):
     dilation: str          # name of the dilation report
     uniform: str           # name of the uniformity report
+    minimality: str        # name of the minimality report
+    depth_key: str         # detail that names the minimality window depth
     block: LinearPencil    # V's core C, or U's core block [C | Q]
-    shifts: bool           # whether a tail (or, for U, future) shift acts
+    future_dim: int        # dimension of each future slot (0 for V)
+    setup: int             # word steps that precede the minimality window
+    adjoints: bool         # whether minimality words use the adjoint letters
     letters: Callable      # word_letters or unidil.word_letters_unitary
 
 
@@ -193,10 +204,12 @@ def _facets(d: Dilation) -> _Facets:
     because unidil imports this module), and its future slots shift too.
     """
     if isinstance(d, StructuredIsometricPencil):
-        return _Facets("dilation", "uniform", d.core, d.dim_y > 0, word_letters)
+        return _Facets("dilation", "uniform", "minimality", "window_depth",
+                       d.core, 0, 0, False, word_letters)
     from .unidil import word_letters_unitary
-    return _Facets("compression-tower", "uniform-unitary", d.core_block,
-                   d.dim_y > 0 or d.dim_u > 0, word_letters_unitary)
+    return _Facets("compression-tower", "uniform-unitary", "minimality-unitary",
+                   "depth", d.core_block, d.dim_u, d.core_depth + 1, True,
+                   word_letters_unitary)
 
 
 def dilation_letters(d: Dilation, n_t: int, length: int) -> Letters:
@@ -339,17 +352,15 @@ def check_uniform(d: Dilation, t: LinearPencil, max_len: int = 6,
                                 tol, None, details)
 
 
-def minimality_report(name: str, depth_key: str, d: Dilation,
-                      letters_to: Callable[[int], Letters], setup: int,
-                      future_dim: int, depth: int | None,
+def minimality_report(d: Dilation, t: LinearPencil, depth: int | None,
                       rank_tol: float) -> Report:
-    """Deficit dim W_D - dim(S_L n W_D) of a minimality check of V or U.
+    """Deficit dim W_D - dim(S_L n W_D) of the minimality check of V or U.
 
     W_D is the window of tail slots -D..-1, the head and future slots 1..D
-    of dimension ``future_dim`` (0 for V).  S_L is the span of the words of
-    length <= L = D + ``setup`` applied to H, in ``letters_to(L)``, and
-    ``span_rank`` gives dim(S_L n W_D).  ``depth`` is D, by default the
-    certifying depth core_depth + 1; a negative depth raises ValueError.
+    (none for V).  S_L is the span of the words of length <= L = D + setup
+    applied to H, in the letters of ``_facets`` (and, for U, their
+    adjoints); ``span_rank`` gives dim(S_L n W_D).  ``depth`` is D, by
+    default core_depth + 1; a negative depth raises ValueError.
 
     From the certifying depth on, a pass at one depth is a pass at every
     deeper one (the induction of ``check_minimality`` and
@@ -357,12 +368,14 @@ def minimality_report(name: str, depth_key: str, d: Dilation,
     is decided at the certifying depth: a pass there is the pass at D,
     with rank dim W_D, and only a deficit there is found again at D
     itself.  A failure is therefore always a deficit at D.  The details
-    name D under ``depth_key``, its ``word_cap`` L, the depth the verdict
-    was decided at, and whether a pass holds at every depth
-    (``every_depth``, true iff D >= core_depth + 1); they also carry both
-    ranks of the decided containment and the singular-value gap of each of
-    its rank cuts.
+    name D under the ``depth_key`` of ``_facets``, its ``word_cap`` L, the
+    depth the verdict was decided at, and whether a pass holds at every
+    depth (``every_depth``, true iff D >= core_depth + 1); they also carry
+    both ranks of the decided containment and the singular-value gap of
+    each of its rank cuts.
     """
+    _check_dilation_input(d, t)
+    facets = _facets(d)
     certifying = d.core_depth + 1
     if depth is None:
         depth = certifying
@@ -370,26 +383,30 @@ def minimality_report(name: str, depth_key: str, d: Dilation,
         raise ValueError("minimality depth must be nonnegative")
 
     def size(window_depth):
-        return window_depth * (d.dim_y + future_dim) + d.dim_h
+        return window_depth * (d.dim_y + facets.future_dim) + d.dim_h
 
     for decided in sorted({min(depth, certifying), depth}):
-        letters = letters_to(decided + setup)
+        cap = decided + facets.setup
+        letters = facets.letters(d, t.shape[0], cap)
+        if facets.adjoints:
+            letters = letters.with_adjoints()
         top = letters.head.start
         window = slice(top - decided * d.dim_y,
-                       top + d.dim_h + decided * future_dim)
-        found = span_rank(letters, decided + setup, window, rank_tol)
+                       top + d.dim_h + decided * facets.future_dim)
+        found = span_rank(letters, cap, window, rank_tol)
         deficit = size(decided) - found.dim
         if not deficit:
             break
     expected = size(depth)
     rank = expected - deficit
-    details = {depth_key: depth, "word_cap": depth + setup, "rank": rank,
-               "expected": expected, "every_depth": depth >= certifying,
+    details = {facets.depth_key: depth, "word_cap": depth + facets.setup,
+               "rank": rank, "expected": expected,
+               "every_depth": depth >= certifying,
                "decided_depth": decided, "span_rank": found.span_rank,
                "outside_rank": found.outside_rank,
                "span_gap": list(found.span_gap),
                "outside_gap": list(found.outside_gap)}
-    return Report.from_residual(name, float(deficit), 0.0,
+    return Report.from_residual(facets.minimality, float(deficit), 0.0,
                                 witness={"rank": rank, "expected": expected},
                                 details=[details])
 
@@ -417,8 +434,4 @@ def check_minimality(v: StructuredIsometricPencil, t: LinearPencil,
     in S_D at that depth only.  An untouched line adjoined to the dilation
     space fails at every depth.
     """
-    _check_dilation_input(v, t)
-    return minimality_report(
-        "minimality", "window_depth", v,
-        lambda cap: word_letters(v, t.shape[0], cap), setup=0, future_dim=0,
-        depth=depth, rank_tol=rank_tol)
+    return minimality_report(v, t, depth, rank_tol)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ShapeMismatch
-from .linalg import as_matrix, spec_norm, spec_norms
+from .linalg import as_matrix, ranks, spec_norm, spec_norms
 
 DEFAULT_GRID = 256
 # An eigenvalue z of the palindromic quadratic with ||z| - 1| <= _ROOT_BAND
@@ -193,6 +193,15 @@ def rank_candidates(p: LinearPencil, rank: int, tol: float,
     gram0 = a0 @ a0.conj().T + a1 @ a1.conj().T - tau ** 2 * np.eye(rank)
     found = candidate_indices(gram0, a1 @ a0.conj().T, grid_size)
     return found if rows <= cols else np.sort(-found % grid_size)
+
+
+def full_rank_on_grid(p: LinearPencil, rank: int, tol: float,
+                      grid_size: int) -> bool:
+    """Whether ``numerical_rank(p(lam), tol)`` is ``rank`` at every point
+    of the grid of ``grid_size`` points, decided at its ``rank_candidates``
+    only."""
+    lams = unit_circle_grid(grid_size)[rank_candidates(p, rank, tol, grid_size)]
+    return bool(np.all(ranks(evaluate_all(p, lams), tol) == rank))
 
 
 class PencilKind(Enum):

@@ -17,10 +17,11 @@ of such columns, one lambda per column.  U's dilation (compression tower)
 and uniformity reports are ``isodil.check_dilation`` and
 ``isodil.check_uniform`` on these letters.
 
-The block function theta(z) = [[F, P_Y Q], [T, P_H Q]] assembled from the
-canonical chain is linear, contractive on the disk and unitary on the
-circle; its corner blocks carry the density conditions checked (pointwise,
-as a surrogate) by ``check_biinner``.
+For the depth-0 canonical core C = [F; T] the core block [C | Q] is the
+block function theta(z) = [[F, P_Y Q], [T, P_H Q]] from H (+) U into
+Y (+) H: linear, contractive on the disk and unitary on the circle.  Its
+corner blocks carry the density conditions checked (pointwise, as a
+surrogate) by ``check_biinner``.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NotIsometric, PencilError
-from .factorization import FejerRieszFactor
-from .isodil import (StructuredIsometricPencil, _check_dilation_input,
-                     dense_coefficient, minimality_report, window_dim)
+from .isodil import (StructuredIsometricPencil, dense_coefficient,
+                     minimality_report, window_dim)
 from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
-                     orthonormal_range, projector, ranks, spec_norms)
-from .pencil import (LinearPencil, evaluate_all, isometry_defect,
-                     rank_candidates, unit_circle_grid)
+                     orthonormal_range, projector, spec_norms)
+from .pencil import (LinearPencil, evaluate_all, full_rank_on_grid,
+                     isometry_defect)
 from .reporting import Report
 from .words import Letters
 
@@ -97,13 +97,12 @@ def core_subspaces(v: StructuredIsometricPencil,
     pencils), L is its orthocomplement, and K1 is the complement of
     ran(B0 + B1) inside the split range.  Deeper tail slots always belong
     to the range of the shift part, so nothing escapes the window.
-    The cross term is part of the core's ``isometry_defect``; an overlap of
+    The cross term is part of the core's ``core_defect``; an overlap of
     the ranges that its cutoff lets through collapses the combined rank or
     shows in the isometry defect of Q, which ``QPencil`` bounds the same way.
     """
-    defect = isometry_defect(v.core)
-    if defect > _ISO_TOL:
-        raise NotIsometric(f"core pencil is not isometric (defect {defect:.3e})")
+    if v.core_defect > _ISO_TOL:
+        raise NotIsometric(f"core pencil is not isometric (defect {v.core_defect:.3e})")
     wp = v.window_prime_dim
     b0, b1 = v.core.a0, v.core.a1
     ran0 = orthonormal_range(b0, rank_tol)
@@ -322,26 +321,7 @@ def check_minimality_unitary(u: UnitaryDilation, t: LinearPencil,
     holds at every depth.  A failure is a deficit of W_D in S_L at that
     depth only.
     """
-    _check_dilation_input(u, t)
-    return minimality_report(
-        "minimality-unitary", "depth", u,
-        lambda cap: word_letters_unitary(u, t.shape[0], cap).with_adjoints(),
-        setup=u.core_depth + 1, future_dim=u.dim_u, depth=depth,
-        rank_tol=rank_tol)
-
-
-def assemble_theta(t: LinearPencil, f: FejerRieszFactor,
-                   q: QPencil) -> LinearPencil:
-    """Block pencil [[F, P_Y Q], [T, P_H Q]] from H (+) U into Y (+) H."""
-    n = t.shape[0]
-    dim_y = f.dim_y
-    if q.q0.shape[0] != dim_y + n:
-        raise DimensionMismatch(
-            "Q does not act on the depth-0 window Y (+) H of the canonical chain"
-        )
-    theta0 = np.block([[f.f0, q.q0[:dim_y, :]], [t.a0, q.q0[dim_y:, :]]])
-    theta1 = np.block([[f.f1, q.q1[:dim_y, :]], [t.a1, q.q1[dim_y:, :]]])
-    return LinearPencil(theta0, theta1)
+    return minimality_report(u, t, depth, rank_tol)
 
 
 def theta_boundary_residuals(theta: LinearPencil, lams) -> np.ndarray:
@@ -362,9 +342,9 @@ def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
     interior point can exceed the boundary residual; nothing is sampled
     inside.  The rank conditions on the corner blocks stand in for the L^2
     density conditions; full pointwise rank on the grid is reported as a
-    surrogate, not a certificate.  Each corner is ranked only at its
-    ``rank_candidates``, with the answer of the whole grid.  A
-    ``grid_size`` below 1 raises ValueError.
+    surrogate, not a certificate.  Each corner is ranked by
+    ``full_rank_on_grid``, only at its ``rank_candidates``, with the answer
+    of the whole grid.  A ``grid_size`` below 1 raises ValueError.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
@@ -373,12 +353,10 @@ def check_biinner(theta: LinearPencil, dim_y: int, dim_h: int, dim_u: int,
         raise DimensionMismatch("theta block dimensions are inconsistent")
     worst = isometry_defect(theta)
     witness = {"where": "boundary"} if worst > 0.0 else None
-    grid = unit_circle_grid(grid_size)
 
     def full_rank(block, rank):
         corner = LinearPencil(theta.a0[block], theta.a1[block])
-        lams = grid[rank_candidates(corner, rank, rank_tol, grid_size)]
-        return bool(np.all(ranks(evaluate_all(corner, lams), rank_tol) == rank))
+        return full_rank_on_grid(corner, rank, rank_tol, grid_size)
 
     rank_ok = (full_rank(np.s_[:dim_y, :dim_h], dim_y)
                and full_rank(np.s_[dim_y:, dim_h:], dim_u))

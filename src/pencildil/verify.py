@@ -27,12 +27,12 @@ from .isodil import (BuiltinExample, Dilation, StructuredIsometricPencil,
                      word_letters)
 from .linalg import spec_norm, spec_norms
 from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate_all,
-                     isometry_defect, unit_circle_grid)
+                     unit_circle_grid)
 from .reporting import Report
-from .unidil import (QPencil, UnitaryDilation, assemble_theta, build_q,
-                     build_unitary, check_biinner, check_minimality_unitary,
-                     check_unitarity, core_subspaces, dense_u_coefficient,
-                     q_identity_defect, word_letters_unitary)
+from .unidil import (QPencil, UnitaryDilation, build_unitary, check_biinner,
+                     check_minimality_unitary, check_unitarity,
+                     dense_u_coefficient, q_identity_defect,
+                     word_letters_unitary)
 from .words import act, closure, difference
 
 CORPUS_SEED = 20240601
@@ -66,7 +66,11 @@ def classical_slice(corpus: list[LinearPencil]) -> list[LinearPencil]:
 
 @dataclass(frozen=True, eq=False)
 class CanonicalChain:
-    """All artifacts of the canonical construction for one pencil."""
+    """All artifacts of the canonical construction for one pencil.
+
+    ``theta`` is U's core block [C | Q], which for the depth-0 core
+    C = [F; T] is the block function [[F, P_Y Q], [T, P_H Q]].
+    """
 
     pencil: LinearPencil
     gram: GramCoefficients
@@ -82,12 +86,9 @@ def canonical_chain(t: LinearPencil,
     """Factorize, dilate and extend a contractive pencil in one pass."""
     g = gram_coefficients(t, grid_size=grid_size)
     f = bauer_factorize(g)
-    v = build_canonical(t, f)
-    cores = core_subspaces(v)
-    q = build_q(cores)
-    u = UnitaryDilation(v=v, q=q, cores=cores)
-    theta = assemble_theta(t, f, q)
-    return CanonicalChain(pencil=t, gram=g, factor=f, v=v, q=q, u=u, theta=theta)
+    u = build_unitary(build_canonical(t, f))
+    return CanonicalChain(pencil=t, gram=g, factor=f, v=u.v, q=u.q, u=u,
+                          theta=u.core_block)
 
 
 def _u_letters(u: UnitaryDilation, tail_depth: int, future_depth: int) -> tuple:
@@ -143,7 +144,7 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
 
     chain = canonical_chain(t, grid_size=grid_size)
     reports.append(Report.from_residual(
-        "factorization", isometry_defect(chain.v.core), 1e-8,
+        "factorization", chain.v.core_defect, 1e-8,
         details=[{"dimY": chain.factor.dim_y}],
     ))
     outer_ok = outer_surrogate_check(chain.factor, grid_size)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from pencildil import CapExceeded, LinearPencil, ShapeMismatch
+from pencildil import LinearPencil, ShapeMismatch
 from pencildil.words import Letters, grouped_sums
 
 WORD_LENGTH_CAP = 10
@@ -28,7 +28,7 @@ def symmetrized_multipower(p: LinearPencil, t: tuple[int, int],
         raise ValueError("multipower indices must be nonnegative")
     n = t0 + t1
     if n > word_cap:
-        raise CapExceeded(f"word length {n} exceeds cap {word_cap}")
+        raise ValueError(f"word length {n} exceeds cap {word_cap}")
     if p.shape[0] != p.shape[1]:
         raise ShapeMismatch("multipowers require a square pencil")
     *_, sums = grouped_sums(Letters.plain((p.a0, p.a1)), n)

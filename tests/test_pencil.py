@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pencildil import (CapExceeded, LinearPencil, NotContractive, PencilKind,
-                       ShapeMismatch, classify, evaluate, evaluate_all,
-                       isometry_defect, run_pipeline, unit_circle_grid)
+from pencildil import (LinearPencil, NotContractive, PencilKind, ShapeMismatch,
+                       classify, evaluate, evaluate_all, isometry_defect,
+                       run_pipeline, unit_circle_grid)
 from pencildil.isodil import BuiltinExample, builtin_example
 from pencildil.linalg import adjoints, spec_norm, spec_norms
 from pencildil.words import Letters
@@ -217,7 +217,7 @@ def test_multipower_matches_brute_force_oracle():
 
 def test_multipower_cap():
     p = LinearPencil([[0.1]], [[0.1]])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ValueError, match="exceeds cap"):
         symmetrized_multipower(p, (6, 5))
 
 

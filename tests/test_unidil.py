@@ -6,8 +6,8 @@ import pytest
 from pencildil import (BuiltinExample, FejerRieszFactor, LinearPencil,
                        NotIsometric, PencilKind, QPencil,
                        StructuredIsometricPencil, UnitaryDilation,
-                       assemble_theta, bauer_factorize, build_canonical,
-                       build_unitary, builtin_example, canonical_chain,
+                       bauer_factorize, build_canonical, build_unitary,
+                       builtin_example, canonical_chain,
                        ShapeMismatch, check_biinner, check_dilation,
                        check_minimality, check_minimality_unitary,
                        check_uniform, check_unitarity, classify,
@@ -444,6 +444,21 @@ def test_compression_tower_reads_the_letters_of_u(monkeypatch, all_chains):
     assert sum(tower.witness["t"]) >= 2  # one step cannot return from future 1
 
 
+def test_theta_is_the_core_block_of_u(all_chains):
+    # the depth-0 core block [C | Q] is [[F, P_Y Q], [T, P_H Q]] entry for entry
+    chains = [*all_chains, canonical_chain(LinearPencil([[0.5]], [[0.5]])),
+              canonical_chain(LinearPencil(np.diag([1.0, 0.0]),
+                                           np.diag([0.0, 1.0])))]
+    assert chains[-1].factor.dim_y == 0
+    for chain in chains:
+        assert chain.theta is chain.u.core_block
+        f, t, q = chain.factor, chain.pencil, chain.q
+        for got, f_j, t_j, q_j in zip((chain.theta.a0, chain.theta.a1),
+                                      (f.f0, f.f1), (t.a0, t.a1), (q.q0, q.q1)):
+            expected = np.block([[f_j, q_j[:f.dim_y]], [t_j, q_j[f.dim_y:]]])
+            assert np.array_equal(got, expected)
+
+
 def test_theta_shift_case_is_identity():
     chain = canonical_chain(ZERO)
     theta = chain.theta
@@ -474,9 +489,7 @@ def test_theta_surrogate_blind_to_non_outer_factor(scalar_chain):
     t = scalar_chain.pencil
     f = scalar_chain.factor
     swapped = FejerRieszFactor(-f.f1, -f.f0)
-    v = build_canonical(t, swapped)
-    u = build_unitary(v)
-    theta = assemble_theta(t, swapped, u.q)
+    theta = build_unitary(build_canonical(t, swapped)).core_block
     report = check_biinner(theta, 1, 1, 1)
     assert report.passed
     roots = outer_roots(swapped)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pencildil import (BuiltinExample, LinearPencil, NotADilation,
                        check_minimality_unitary, check_uniform, classify,
                        classical_slice, demo, equivalence_falsifier,
                        run_pipeline, seeded_corpus)
+from pencildil import pencil
 from pencildil.verify import DemoName
 
 ZERO = LinearPencil([[0.0]], [[0.0]])
@@ -24,6 +26,28 @@ def test_pipeline_scalar_all_pass():
     reports = run_pipeline(LinearPencil([[0.5]], [[0.3]]))
     assert [r.check for r in reports] == PIPELINE_CHECKS
     assert all(r.passed for r in reports)
+
+
+def test_pipeline_certifies_the_core_once(monkeypatch):
+    # build_canonical, core_subspaces and the factorization report all read
+    # the one cached ``core_defect`` of V
+    t = seeded_corpus()[5]
+    core = canonical_chain(t).v.core
+    real = pencil.isometry_defect
+    on_core = []
+
+    def counting(p):
+        on_core.append(np.array_equal(p.a0, core.a0)
+                       and np.array_equal(p.a1, core.a1))
+        return real(p)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "pencildil"
+                and vars(module).get("isometry_defect") is real):
+            monkeypatch.setattr(module, "isometry_defect", counting)
+    run_pipeline(t)
+    assert sum(on_core) == 1
+    assert len(on_core) == 9
 
 
 def test_pipeline_zero_pencil_is_classical():
