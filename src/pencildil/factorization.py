@@ -22,8 +22,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NoConvergence, NotContractive, NotPSD, ShapeMismatch
-from .linalg import (adjoints, as_matrix, hermitian_eigen, numerical_rank,
-                     orthonormal_range, psd_sqrt, spec_norm, spec_norms)
+from .linalg import (adjoints, as_matrix, hermitian_eigen, norm_exceeds,
+                     orthonormal_range, psd_sqrt, singular_values, spec_norm,
+                     spec_norms)
 from .pencil import (DEFAULT_GRID, LinearPencil, candidate_indices, classify,
                      evaluate_all, full_rank_on_grid, unit_circle_grid)
 
@@ -34,6 +35,9 @@ _MATCH_TOL = 1e-8
 # the factor as outer.
 _ROOT_SLACK = 1e-8
 _PINV_RTOL = 1e-10
+# ``bauer_factorize`` skips its NotPSD scan when 1 - u^2, u the grid peak
+# bound of ``classify``, clears the scan's cut -tol by this much.
+_SCAN_ROOM = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +52,7 @@ class GramCoefficients:
         c = as_matrix(self.c, "c")
         if r0.shape != c.shape or r0.shape[0] != r0.shape[1]:
             raise ShapeMismatch("Gram coefficients must be square and equal-shape")
-        if spec_norm(r0 - r0.conj().T) > 1e-12:
+        if norm_exceeds(r0 - r0.conj().T, 1e-12):
             raise ValueError("r0 must be self-adjoint")
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "c", c)
@@ -95,7 +99,12 @@ class FejerRieszFactor:
 
 def gram_coefficients(t: LinearPencil, grid_size: int = DEFAULT_GRID,
                       tol: float = 1e-10) -> GramCoefficients:
-    """Expand I - T(lam)^H T(lam) into (r0, c); requires a contractive T."""
+    """Expand I - T(lam)^H T(lam) into (r0, c); requires a contractive T.
+
+    The result also keeps, outside its fields, the grid size and the bound
+    on the grid peak of ||T|| from ``classify``'s verdict, from which
+    ``bauer_factorize`` may know its NotPSD scan cannot fail.
+    """
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("dilation theory requires a square pencil")
     verdict = classify(t, grid_size=grid_size, tol=tol)
@@ -106,7 +115,9 @@ def gram_coefficients(t: LinearPencil, grid_size: int = DEFAULT_GRID,
     n = t.shape[0]
     r0 = np.eye(n) - t.a0.conj().T @ t.a0 - t.a1.conj().T @ t.a1
     c = -t.a0.conj().T @ t.a1
-    return GramCoefficients(0.5 * (r0 + r0.conj().T), c)
+    g = GramCoefficients(0.5 * (r0 + r0.conj().T), c)
+    object.__setattr__(g, "_peak_bound", (grid_size, verdict._peak_bound))
+    return g
 
 
 def _psd_pinv(x: np.ndarray, rtol: float = _PINV_RTOL) -> np.ndarray:
@@ -166,16 +177,35 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
     exhausted, when the coefficients do not match the defect, or when
     det(f0 + z f1) has a root inside the disk.  Boundary-singular symbols
     converge linearly (``0.5 + 0.5*lam`` takes 38 steps).  A ``grid_size``
-    below 1 raises ValueError.
+    below 1 raises ValueError.  The step and match norms are only compared
+    with their cutoffs (``linalg.norm_exceeds``); the exact norm is computed
+    for the message of the error that reports it.
 
     The NotPSD scan evaluates only the ``candidate_indices`` of the symbol
     plus tol * I, the grid points where it may dip below -tol; the first
     failing candidate, which its message names, is the first failing grid
-    point.
+    point.  It is skipped when ``g`` comes from ``gram_coefficients`` on a
+    grid of ``grid_size`` points and u, the bound on the grid peak of
+    ||T(lam)|| that ``classify`` computed there (the peak itself, or
+    gamma (1 + 1e-12) on its flat-norm route), has 1 - u^2 >= -tol + 1e-10.
+    Then the scan could not have raised.  At a grid point lam_k the exact
+    symbol is I - T(lam_k)^H T(lam_k), whose smallest eigenvalue is
+    1 - ||T(lam_k)||^2 >= 1 - u^2, up to the relative round-off of the
+    computed norm that u bounds (about 1e-15).  The scan sees R(lam_k) built
+    from the rounded r0 and c, each within about (n + 2) eps
+    (1 + ||a0||^2 + ||a1||^2) of the exact coefficient, and ``eigvalsh``
+    adds about n eps ||R||.  The coefficients are bounded by the circle
+    peak of ||T||, at most u / (1 - pi / grid_size) by the Lipschitz bound,
+    so for n in the thousands these errors stay below 1e-11, a tenth of the
+    room.  Every eigenvalue the scan could compute is therefore at least
+    -tol + 1e-10 - 1e-11 > -tol.  A ``GramCoefficients`` built directly
+    carries no bound and is always scanned.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    if g.dim:
+    peak_grid, peak = getattr(g, "_peak_bound", (None, None))
+    settled = peak_grid == grid_size and 1.0 - peak * peak >= _SCAN_ROOM - tol
+    if g.dim and not settled:
         found = candidate_indices(g.r0 + tol * np.eye(g.dim), g.c, grid_size)
         lams = unit_circle_grid(grid_size)[found]
         lowest = np.linalg.eigvalsh(g.symbols(lams))[:, 0]
@@ -187,7 +217,6 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
 
     n = g.dim
     x, a, p = g.r0, g.c, np.zeros_like(g.c)
-    step = 0.0
     converged = False
     for _ in range(max_iter):
         w = _psd_pinv(x - p)
@@ -196,20 +225,23 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
         a = a @ w @ a
         x_next = 0.5 * (x_next + x_next.conj().T)
         p = 0.5 * (p + p.conj().T)
-        step = spec_norm(x_next - x)
+        last = x_next - x
         x = x_next
-        if step <= tol:
+        if not norm_exceeds(last, tol):
             converged = True
             break
     if not converged:
+        step = spec_norm(last) if max_iter > 0 else 0.0
         raise NoConvergence(
             f"doubling iteration stalled at step norm {step:.3e} after "
             f"{max_iter} steps",
             residual=step,
         )
 
-    rank = numerical_rank(x, _PINV_RTOL) if spec_norm(x) > 0 else 0
-    root = psd_sqrt(x, tol=1e-10 * max(1.0, spec_norm(x)))
+    s = singular_values(x)
+    norm = float(s[0]) if s.size else 0.0
+    rank = int(np.count_nonzero(s > _PINV_RTOL * norm)) if norm > 0 else 0
+    root = psd_sqrt(x, tol=1e-10 * max(1.0, norm))
     if rank == 0:
         factor = FejerRieszFactor(np.zeros((0, n)), np.zeros((0, n)))
         return factor
@@ -221,11 +253,10 @@ def bauer_factorize(g: GramCoefficients, tol: float = 1e-12,
     f1, *_ = np.linalg.lstsq(f0.conj().T, g.c, rcond=None)
     factor = FejerRieszFactor(f0, f1)
 
-    match = max(
-        spec_norm(f0.conj().T @ f0 + f1.conj().T @ f1 - g.r0),
-        spec_norm(f0.conj().T @ f1 - g.c),
-    )
-    if match > _MATCH_TOL:
+    gram_gap = f0.conj().T @ f0 + f1.conj().T @ f1 - g.r0
+    cross_gap = f0.conj().T @ f1 - g.c
+    if norm_exceeds(gram_gap, _MATCH_TOL) or norm_exceeds(cross_gap, _MATCH_TOL):
+        match = max(spec_norm(gram_gap), spec_norm(cross_gap))
         raise NoConvergence(
             f"factor coefficients do not match the defect (residual {match:.3e})",
             residual=match,

@@ -10,14 +10,18 @@ through ``scipy.linalg.lapack``, in complex128, the routines and options
 ``numpy.linalg`` calls, without its per-call dispatch, which at n <= 6
 costs about as much as the factorization.  The batched stack kernels
 (``spec_norms``, ``ranks``) stay on ``numpy.linalg``, which loops in C.
+A spectral norm that is only compared with a cutoff is decided by
+``norm_exceeds``, which takes the SVD only when cheaper bounds leave the
+answer open.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import ContainmentViolation, NotHermitian, NotPSD, ShapeMismatch
 
@@ -40,6 +44,9 @@ DEFAULT_TOLERANCES = ToleranceProfile()
 
 # Orthonormality of a SubspaceBasis is a structural invariant, not a knob.
 _BASIS_GRAM_TOL = 1e-12
+# Relative room that ``norm_exceeds`` leaves between a cheap bound and the
+# cutoff: far above the round-off of the bounds and of the SVD.
+_BOUND_GUARD = 1e-6
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -85,6 +92,53 @@ def spec_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(_gesdd(m, 0)[1][0])
+
+
+def norm_bounds(m) -> tuple[float, float]:
+    """Bounds ||m||_F / sqrt(k) <= ||m||_2 <= ||m||_F, k = min(rows, cols),
+    from one Frobenius norm; (0.0, 0.0) for an empty matrix.
+
+    The Frobenius norm is BLAS ``dznrm2``, which scales its sum of squares,
+    so tiny or huge entries neither underflow nor overflow it.
+    """
+    m = np.asarray(m)
+    if m.size == 0:
+        return 0.0, 0.0
+    frobenius = float(blas.dznrm2(m.astype(complex, copy=False).ravel()))
+    return frobenius / math.sqrt(min(m.shape)), frobenius
+
+
+def bounds_exceed(low: float, high: float, tol: float) -> bool | None:
+    """Whether a norm known to lie in [low, high] exceeds ``tol``, or None
+    when the bounds, each widened by the relative guard 1e-6, leave it open
+    or ``low`` is not finite."""
+    if math.isfinite(low) and low * (1.0 - _BOUND_GUARD) > tol:
+        return True
+    if high * (1.0 + _BOUND_GUARD) <= tol:
+        return False
+    return None
+
+
+def norm_exceeds(m, tol: float) -> bool:
+    """Whether ``spec_norm(m) > tol``, taking the SVD only when bounds
+    leave the answer open.
+
+    The bounds are ``norm_bounds`` and then, as a second lower bound,
+    max |m_ij| <= ||m||_2.  They are computed to a few units in the last
+    place and the SVD's largest singular value to a few units times the
+    dimension, so a bound clear of ``tol`` by the relative guard of 1e-6
+    (``bounds_exceed``) gives the answer the SVD gives.  Only the band
+    between the widened bounds, and non-finite entries (for which the SVD
+    raises as ``spec_norm`` does), take the SVD.  At ``tol`` = 0 no matrix
+    does: a nonzero entry exceeds it and the zero matrix does not.  An
+    empty matrix has norm 0.
+    """
+    m = np.asarray(m)
+    low, high = norm_bounds(m)
+    decided = bounds_exceed(low, high, tol)
+    if decided is None and m.size:
+        decided = bounds_exceed(float(np.abs(m).max()), high, tol)
+    return spec_norm(m) > tol if decided is None else decided
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -173,7 +227,7 @@ class SubspaceBasis:
         if k > self.ambient_dim:
             raise ShapeMismatch("more basis vectors than ambient dimensions")
         gram = b.conj().T @ b
-        if k and spec_norm(gram - np.eye(k)) > _BASIS_GRAM_TOL:
+        if k and norm_exceeds(gram - np.eye(k), _BASIS_GRAM_TOL):
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -219,7 +273,7 @@ def orthocomplement_within(a: SubspaceBasis, b: SubspaceBasis,
         raise ContainmentViolation("second subspace has larger dimension")
     if b.dim:
         leak = b.basis - a.basis @ (a.basis.conj().T @ b.basis)
-        if spec_norm(leak) > containment_tol:
+        if norm_exceeds(leak, containment_tol):
             raise ContainmentViolation(
                 f"subspace not contained in the first one (leak {spec_norm(leak):.3e})"
             )
@@ -249,8 +303,8 @@ def psd_sqrt(m, tol: float = DEFAULT_TOLERANCES.hermitian) -> np.ndarray:
         raise ShapeMismatch("psd_sqrt requires a square matrix")
     if m.shape[0] == 0:
         return m.copy()
-    asym = spec_norm(m - m.conj().T)
-    if asym > tol:
+    if norm_exceeds(m - m.conj().T, tol):
+        asym = spec_norm(m - m.conj().T)
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
     h = 0.5 * (m + m.conj().T)
     w, v = hermitian_eigen(h)

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ShapeMismatch
-from .linalg import as_matrix, ranks, spec_norm, spec_norms
+from .linalg import (as_matrix, bounds_exceed, norm_bounds, ranks, spec_norm,
+                     spec_norms)
 
 DEFAULT_GRID = 256
 # An eigenvalue z of the palindromic quadratic with ||z| - 1| <= _ROOT_BAND
@@ -45,6 +46,9 @@ _PEAK_SLACK = 1e-9
 # When every grid point is within that slack, ``classify`` bounds the peak
 # from above at gamma * (1 + _FLAT_BAND) instead.
 _FLAT_BAND = 1e-12
+# ``candidate_indices`` decides a symbol with r1 = 0 without QZ unless an
+# eigenvalue of r0 is within this much of 0, relative to its largest entry.
+_REGULAR = 5e-13
 
 
 def unit_circle_grid(n: int) -> np.ndarray:
@@ -96,9 +100,29 @@ def isometry_defect(p: LinearPencil) -> float:
     pencil (a0^H, a1^H) equals T(lam)^H at conj(lam), which bounds
     T T^H - I the same way.
     """
+    gram, cross = _defect_coefficients(p)
+    return spec_norm(gram) + 2.0 * spec_norm(cross)
+
+
+def _defect_coefficients(p: LinearPencil) -> tuple[np.ndarray, np.ndarray]:
     a0, a1 = p.a0, p.a1
-    gram = a0.conj().T @ a0 + a1.conj().T @ a1 - np.eye(p.shape[1])
-    return spec_norm(gram) + 2.0 * spec_norm(a0.conj().T @ a1)
+    return (a0.conj().T @ a0 + a1.conj().T @ a1 - np.eye(p.shape[1]),
+            a0.conj().T @ a1)
+
+
+def is_isometric(p: LinearPencil, tol: float) -> bool:
+    """Whether ``isometry_defect(p) <= tol``, computing it only when the
+    ``norm_bounds`` of D and C leave the answer open.
+
+    The defect ||D|| + 2||C|| lies between the same sums of the
+    ``norm_bounds`` of D and C, and as in ``linalg.norm_exceeds`` a sum
+    clear of ``tol`` by the relative guard 1e-6 (``bounds_exceed``) gives
+    the answer the SVDs give.  So a pencil far from isometric, or isometric
+    to round-off, takes no SVD.
+    """
+    (low_d, high_d), (low_c, high_c) = map(norm_bounds, _defect_coefficients(p))
+    decided = bounds_exceed(low_d + 2.0 * low_c, high_d + 2.0 * high_c, tol)
+    return isometry_defect(p) <= tol if decided is None else not decided
 
 
 def unimodular_roots(r0: np.ndarray, r1: np.ndarray) -> np.ndarray | None:
@@ -131,11 +155,17 @@ def unimodular_roots(r0: np.ndarray, r1: np.ndarray) -> np.ndarray | None:
     return np.sort(np.angle(alpha[on_circle] * beta[on_circle].conj()) % (2 * np.pi))
 
 
-def _not_definite(r0: np.ndarray, r1: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Whether R(lam) has an eigenvalue <= 0, at each lam."""
+def _symbol_eigenvalues(r0: np.ndarray, r1: np.ndarray,
+                        lams: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of R(lam) at each lam, one row per lam."""
     lams = lams[:, None, None]
     values = r0 + lams * r1 + np.conj(lams) * r1.conj().T
-    return np.linalg.eigvalsh(values)[:, 0] <= 0.0
+    return np.linalg.eigvalsh(values)
+
+
+def _not_definite(r0: np.ndarray, r1: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Whether R(lam) has an eigenvalue <= 0, at each lam."""
+    return _symbol_eigenvalues(r0, r1, lams)[:, 0] <= 0.0
 
 
 def candidate_indices(r0: np.ndarray, r1: np.ndarray, grid_size: int) -> np.ndarray:
@@ -149,9 +179,27 @@ def candidate_indices(r0: np.ndarray, r1: np.ndarray, grid_size: int) -> np.ndar
     step on each side, and the two grid neighbours of every root.  Without
     roots one test at lam = 1 decides the whole circle, and when det R
     vanishes identically every grid point is a candidate.
+
+    When r1 is exactly zero (a1 = 0 pencils), R(lam) = r0 on the whole
+    circle, and that one test at lam = 1 is taken without the QZ.  The QZ
+    gives the same answer outside a band.  In r0's eigenbasis its
+    linearisation splits into the 2 x 2 pencils ([[-w, 0], [1, 0]],
+    [[0, 0], [0, 1]]), w an eigenvalue of r0 / scale, with eigenvalues 0
+    and infinity, so a root on the circle or a pair (alpha, beta) below
+    1e-13 (``None``) needs a perturbation of the pencil as large as
+    sigma_min((a - b) / sqrt(2)) / sqrt(2) >= |w| / (2 sqrt(2 + |w|^2)),
+    about |w| / 2.8, while QZ is backward stable to a few units in the last
+    place.  So the QZ keeps the decision only when some |w| is at most
+    5e-13, which leaves room for a backward error up to 7e-14; in trials
+    at m <= 12 it returned ``None`` only for |w| below 6e-14.  Classify's
+    flat-norm tests, with |w| near 1e-9 and 1e-12, are decided without it.
     """
     if r0.shape[0] == 0:
         return np.zeros(0, dtype=int)
+    if not r1.any():
+        w = _symbol_eigenvalues(r0, r1, np.ones(1, dtype=complex))[0]
+        if np.abs(w).min() > _REGULAR * np.abs(r0).max():
+            return np.arange(grid_size if w[0] <= 0.0 else 0)
     roots = unimodular_roots(r0, r1)
     if roots is None:
         return np.arange(grid_size)
@@ -217,7 +265,10 @@ class PencilClass:
 
     ``classify`` may leave ``margin`` and ``max_norm_on_grid`` to be
     computed on their first read (see ``classify``); equality, hashing and
-    repr read them like any other field.
+    repr read them like any other field.  A verdict from ``classify`` also
+    keeps, outside its fields, ``_peak_bound``: an upper bound on the grid
+    peak that never reads a lazy one (``factorization.gram_coefficients``
+    hands it to ``bauer_factorize``).
     """
 
     kind: PencilKind
@@ -238,6 +289,11 @@ class PencilClass:
         object.__setattr__(verdict, "certified", certified)
         object.__setattr__(verdict, "_peak", peak)
         return verdict
+
+    def _bounded(self, bound: float) -> PencilClass:
+        """This verdict with ``_peak_bound`` set to ``bound``."""
+        object.__setattr__(self, "_peak_bound", bound)
+        return self
 
     def __getattr__(self, name):
         # reached only for names not in __dict__, such as the two peak
@@ -268,8 +324,8 @@ def _decide(p: LinearPencil, low: float, high: float, grid_size: int,
         return PencilKind.NONE, False
     if math.isinf(4.0 * high * high):
         return None
-    if isometry_defect(p) <= tol:
-        unitary = isometry_defect(LinearPencil(p.a0.conj().T, p.a1.conj().T)) <= tol
+    if is_isometric(p, tol):
+        unitary = is_isometric(LinearPencil(p.a0.conj().T, p.a1.conj().T), tol)
         return (PencilKind.UNITARY if unitary else PencilKind.ISOMETRIC), True
     contractive = low ** 2 - 1.0 <= tol
     if contractive != (high ** 2 - 1.0 <= tol):
@@ -354,11 +410,13 @@ def classify(p: LinearPencil, grid_size: int = DEFAULT_GRID,
     if found.size == grid_size and not candidate_indices(
             (1.0 + _FLAT_BAND) * eye - a0.conj().T @ a0 - a1.conj().T @ a1,
             cross, grid_size).size:
-        decided = _decide(p, gamma, gamma * (1.0 + _FLAT_BAND), grid_size, tol)
+        high = gamma * (1.0 + _FLAT_BAND)
+        decided = _decide(p, gamma, high, grid_size, tol)
         if decided is not None:
             kind, certified = decided
-            return PencilClass._with_peak(kind, certified,
-                                          lambda: _grid_statistics(kind, peak()))
+            return PencilClass._with_peak(
+                kind, certified, lambda: _grid_statistics(kind, peak()))._bounded(high)
     max_norm = peak()
     kind, certified = _decide(p, max_norm, max_norm, grid_size, tol)
-    return PencilClass(kind, certified, *_grid_statistics(kind, max_norm))
+    return PencilClass(kind, certified,
+                       *_grid_statistics(kind, max_norm))._bounded(max_norm)

@@ -37,7 +37,7 @@ from .isodil import (StructuredIsometricPencil, dense_coefficient,
 from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
                      orthonormal_range, projector, spec_norms)
 from .pencil import (LinearPencil, evaluate_all, full_rank_on_grid,
-                     isometry_defect)
+                     is_isometric, isometry_defect)
 from .reporting import Report
 from .words import Letters
 
@@ -71,9 +71,10 @@ class QPencil:
         q1 = np.asarray(self.q1, dtype=complex)
         if q0.shape != q1.shape:
             raise DimensionMismatch("Q coefficients must have equal shape")
-        defect = isometry_defect(LinearPencil(q0, q1))
-        if defect > _ISO_TOL:
-            raise NotIsometric(f"Q pencil is not isometric (defect {defect:.3e})")
+        q = LinearPencil(q0, q1)
+        if not is_isometric(q, _ISO_TOL):
+            raise NotIsometric(
+                f"Q pencil is not isometric (defect {isometry_defect(q):.3e})")
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "q1", q1)
 

@@ -7,9 +7,10 @@ import scipy.optimize
 
 from pencildil import (FactorMismatch, FejerRieszFactor, GramCoefficients,
                        LinearPencil, NoConvergence, NotContractive, NotPSD,
-                       bauer_factorize, build_canonical, factorization,
+                       PencilKind, bauer_factorize, build_canonical,
+                       canonical_chain, classify, factorization,
                        gram_coefficients, isometry_defect, outer_roots,
-                       outer_surrogate_check)
+                       outer_surrogate_check, pencil)
 from pencildil.linalg import orthonormal_range, spec_norm
 from pencildil.pencil import evaluate, unit_circle_grid
 
@@ -67,6 +68,59 @@ def test_bauer_trivial_and_degenerate():
 def test_bauer_rejects_indefinite_symbol():
     with pytest.raises(NotPSD):
         bauer_factorize(GramCoefficients(np.diag([1.0, -1.0]), np.zeros((2, 2))))
+
+
+# sqrt(1 + 5e-11) (0.6 + 0.4 lam): its grid peak^2 - 1 = 5e-11 passes
+# classify's tol 1e-10, while the defect symbol dips to -5e-11 < -1e-12.
+_ROOM_BAND = math.sqrt(1.0 + 5e-11)
+ROOM_BAND_PENCILS = [
+    LinearPencil([[0.6 * _ROOM_BAND]], [[0.4 * _ROOM_BAND]]),
+    LinearPencil(np.diag([0.6 * _ROOM_BAND, 0.5]), np.diag([0.4 * _ROOM_BAND, 0.3])),
+]
+
+
+@pytest.mark.parametrize("t", ROOM_BAND_PENCILS, ids=["scalar", "diagonal"])
+def test_not_psd_inside_the_scan_room_is_still_raised(t):
+    # classify's peak bound does not clear the cut by the 1e-10 room, so
+    # the scan runs and names the dip
+    verdict = classify(t)
+    assert verdict.kind is PencilKind.CONTRACTIVE
+    assert verdict.max_norm_on_grid ** 2 - 1.0 == pytest.approx(5e-11, rel=1e-6)
+    message = "defect symbol has eigenvalue -5.000e-11 at lam=1.0000+0.0000j"
+    for build in (lambda: bauer_factorize(gram_coefficients(t)),
+                  lambda: canonical_chain(t)):
+        with pytest.raises(NotPSD) as info:
+            build()
+        assert str(info.value) == message
+
+
+def _count_roots(monkeypatch):
+    calls = []
+    real = pencil.unimodular_roots
+
+    def counting(r0, r1):
+        calls.append(r0.shape)
+        return real(r0, r1)
+
+    monkeypatch.setattr(pencil, "unimodular_roots", counting)
+    return calls
+
+
+def test_only_gram_coefficients_from_classify_skip_the_scan(monkeypatch):
+    t = LinearPencil([[0.5, 0.1], [0.0, 0.3]], [[0.2, 0.0], [0.1, 0.2]])
+    g = gram_coefficients(t)
+    calls = _count_roots(monkeypatch)
+    skipped = bauer_factorize(g)
+    assert calls == []
+    # the bound is the peak on classify's grid: another grid is scanned
+    bauer_factorize(g, grid_size=64)
+    assert calls == [(2, 2)]
+    # a GramCoefficients built directly carries no bound
+    direct = GramCoefficients(g.r0, g.c)
+    scanned = bauer_factorize(direct)
+    assert calls == [(2, 2)] * 2
+    assert np.array_equal(scanned.f0, skipped.f0)
+    assert np.array_equal(scanned.f1, skipped.f1)
 
 
 def test_bauer_boundary_singular_raises_no_convergence():

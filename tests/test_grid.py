@@ -29,6 +29,7 @@ from pencildil import (FejerRieszFactor, GramCoefficients, LinearPencil,
                        isometry_defect, outer_surrogate_check, run_pipeline,
                        seeded_corpus)
 from pencildil import linalg
+from pencildil import pencil as pencil_module
 from pencildil.factorization import factorization_residuals
 from pencildil.isodil import window_dim
 from pencildil.linalg import numerical_rank, ranks, spec_norm, spec_norms
@@ -489,6 +490,41 @@ def test_unimodular_roots_of_a_scalar_symbol():
     # det R vanishes on the whole circle: the roots localise nothing
     assert unimodular_roots(np.zeros((2, 2)), np.zeros((2, 2))) is None
     assert unimodular_roots(np.diag([1.0, 0.0]), np.diag([0.3, 0.0])) is None
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_constant_symbols_are_decided_without_qz_outside_its_band(monkeypatch, m):
+    # r1 = 0: R(lam) = r0 everywhere.  The QZ finds no root on the circle
+    # and answers None (every point a candidate) only when r0 is singular
+    # to round-off; outside a band around that, one eigvalsh decides
+    def qz_candidates(r0, grid_size):
+        roots = unimodular_roots(r0, np.zeros_like(r0))
+        if roots is None:
+            return np.arange(grid_size)
+        assert roots.size == 0
+        return np.arange(grid_size if np.linalg.eigvalsh(r0)[0] <= 0 else 0)
+
+    real = unimodular_roots
+    calls = []
+    monkeypatch.setattr(pencil_module, "unimodular_roots",
+                        lambda r0, r1: calls.append(1) or real(r0, r1))
+    rng = np.random.default_rng(m)
+    w = _rotation(m, seed=m)
+    # the smallest eigenvalue, relative to the largest entry of r0
+    for small in (1e-9, -1e-9, 1e-12, -1e-12, 7e-13, 3e-13, 1e-14, 0.0, -1e-14):
+        eig = rng.uniform(0.1, 1.0, m) * rng.choice([-1.0, 1.0], m)
+        eig[0] = 0.0
+        eig[0] = small * np.abs(w @ np.diag(eig) @ w.conj().T).max()
+        r0 = w @ np.diag(eig) @ w.conj().T
+        r0 = 0.5 * (r0 + r0.conj().T)
+        for grid_size in GRID_SIZES:
+            calls.clear()
+            got = candidate_indices(r0, np.zeros_like(r0), grid_size)
+            in_band = abs(small) <= 5e-13
+            assert len(calls) == in_band
+            assert np.array_equal(got, qz_candidates(r0, grid_size))
+    r0 = np.zeros((m, m))
+    assert np.array_equal(candidate_indices(r0, r0, 8), np.arange(8))
 
 
 def test_candidates_leave_out_most_of_a_corpus_pencil(corpus, all_chains):

@@ -13,8 +13,10 @@ from hypothesis.extra import numpy as hnp
 from pencildil import (ContainmentViolation, NotHermitian, NotPSD,
                        SubspaceBasis, numerical_rank, orthocomplement_within,
                        orthonormal_range, projector, psd_sqrt)
+from pencildil import linalg
 from pencildil.linalg import (canonicalize_phases, hermitian_eigen,
-                              left_singular, singular_values, spec_norm)
+                              left_singular, norm_bounds, norm_exceeds,
+                              singular_values, spec_norm)
 
 
 def complex_matrices(max_dim=4):
@@ -248,3 +250,81 @@ def test_complement_is_orthogonal_to_second_space(m, k):
     assert c.dim == a.dim - b.dim
     if b.dim and c.dim:
         assert spec_norm(c.basis.conj().T @ b.basis) <= 1e-10
+
+
+@st.composite
+def threshold_cases(draw):
+    """A complex matrix up to 12 x 12 (empty ones too) and a cutoff: random,
+    rank-one or zero, at a random scale or with spectral norm
+    tol (1 - 1e-9), tol or tol (1 + 1e-9), where only the SVD decides."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(["random", "rank-one", "zero"]))
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if shape == "rank-one":
+        u, v = rng.standard_normal((rows, 1)), rng.standard_normal((1, cols))
+        m = (u + 1j * u[::-1]) @ (v - 2j * v)
+    elif shape == "zero":
+        m = np.zeros((rows, cols), dtype=complex)
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1.0, 5.0]))
+    norm = spec_norm(m)
+    if norm > 0 and tol > 0 and draw(st.booleans()):
+        m = m * (tol * (1.0 + draw(st.sampled_from([-1e-9, 0.0, 1e-9]))) / norm)
+    else:
+        m = m * 10.0 ** draw(st.integers(-14, 3))
+    return m, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold_cases())
+def test_norm_exceeds_is_the_svd_comparison(case):
+    m, tol = case
+    assert norm_exceeds(m, tol) == (spec_norm(m) > tol)
+    low, high = norm_bounds(m)
+    assert low <= spec_norm(m) * (1 + 1e-12) and spec_norm(m) <= high * (1 + 1e-12)
+
+
+def test_norm_exceeds_takes_the_svd_only_between_its_bounds(monkeypatch):
+    calls = []
+    real = linalg._gesdd
+
+    def counting(m, compute_uv):
+        calls.append(m.shape)
+        return real(m, compute_uv)
+
+    monkeypatch.setattr(linalg, "_gesdd", counting)
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m /= np.linalg.norm(m, 2)  # spectral norm 1, largest entry below 1
+    cases = [(2.0 * np.eye(3), 1.0, True),           # ||m||_F / sqrt(3) above tol
+             (np.diag([1.0, 0.0, 0.0, 0.0]), 0.9, True),  # only max |m_ij| is
+             (1e-3 * m, 1e-2, False),                # Frobenius norm below tol
+             (np.zeros((4, 4)), 0.0, False),         # the zero matrix at tol 0
+             (1e-300 * m, 0.0, True),                # tiny, but not zero
+             (np.zeros((0, 3)), 0.0, False)]
+    for matrix, tol, want in cases:
+        assert norm_exceeds(matrix, tol) is want
+    assert calls == []
+    # ||m||_F / sqrt(5), max |m_ij| < 1 = ||m||_2 < ||m||_F: only the SVD
+    # tells the two apart
+    assert norm_exceeds(m, 1.0 - 1e-9) and not norm_exceeds(m, 1.0 + 1e-9)
+    assert calls == [(5, 5), (5, 5)]
+
+
+def test_norm_bounds_neither_underflow_nor_overflow():
+    for scale in (1e-170, 1e170):
+        low, high = norm_bounds(scale * np.ones((3, 3)))
+        assert low == pytest.approx(math.sqrt(3) * scale, rel=1e-15)
+        assert high == pytest.approx(3 * scale, rel=1e-15)
+
+
+def test_norm_exceeds_treats_non_finite_entries_as_the_svd_does():
+    def outcome(decide, m):
+        try:
+            return decide(m)
+        except np.linalg.LinAlgError as err:
+            return str(err)
+
+    for bad in (np.full((2, 2), np.nan + 0j), np.full((2, 2), np.inf + 0j)):
+        assert (outcome(lambda m: norm_exceeds(m, 1.0), bad)
+                == outcome(lambda m: spec_norm(m) > 1.0, bad))

@@ -13,6 +13,7 @@ from pencildil import (LinearPencil, NotContractive, PencilKind, ShapeMismatch,
                        run_pipeline, unit_circle_grid)
 from pencildil.isodil import BuiltinExample, builtin_example
 from pencildil.linalg import adjoints, spec_norm, spec_norms
+from pencildil.pencil import is_isometric
 from pencildil.words import Letters
 from multipower_oracle import symmetrized_multipower
 from word_oracle import levels, word_label
@@ -236,3 +237,25 @@ def test_multipower_fourier_consistency():
         quad /= len(grid)
         expected = math.comb(n, t1) * symmetrized_multipower(p, (t0, t1))
         assert spec_norm(quad - expected) <= 1e-8
+
+
+@st.composite
+def near_isometric_pencils(draw):
+    """(W1 P, W2 (I - P)), W = [W1 W2] an isometry and P an orthogonal
+    projector, with its constant coefficient scaled by 1 + delta."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2 * n, 2 * n + 2))
+    w, _ = np.linalg.qr(rng.standard_normal((m, 2 * n))
+                        + 1j * rng.standard_normal((m, 2 * n)))
+    k = draw(st.integers(0, n))
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    proj = basis[:, :k] @ basis[:, :k].conj().T
+    delta = draw(st.sampled_from([0.0, 1e-13, 1e-9, 5e-9, 1e-3, -0.5]))
+    return LinearPencil((1 + delta) * (w[:, :n] @ proj), w[:, n:] @ (np.eye(n) - proj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_isometric_pencils(), st.sampled_from([0.0, 1e-10, 1e-8, 2e-8]))
+def test_is_isometric_is_the_defect_comparison(p, tol):
+    assert is_isometric(p, tol) == (isometry_defect(p) <= tol)

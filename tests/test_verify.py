@@ -30,7 +30,9 @@ def test_pipeline_scalar_all_pass():
 
 def test_pipeline_certifies_the_core_once(monkeypatch):
     # build_canonical, core_subspaces and the factorization report all read
-    # the one cached ``core_defect`` of V
+    # the one cached ``core_defect`` of V; classify's isometry tests and
+    # QPencil's compute the defect only when its norm bounds leave the
+    # answer open, which they do not here
     t = seeded_corpus()[5]
     core = canonical_chain(t).v.core
     real = pencil.isometry_defect
@@ -47,7 +49,7 @@ def test_pipeline_certifies_the_core_once(monkeypatch):
             monkeypatch.setattr(module, "isometry_defect", counting)
     run_pipeline(t)
     assert sum(on_core) == 1
-    assert len(on_core) == 9
+    assert len(on_core) == 6
 
 
 def test_pipeline_zero_pencil_is_classical():

@@ -17,9 +17,14 @@ through the pipeline at depth 2; the first two have a flat norm, which
 ``classify`` decides without its grid peak.  A constant pencil whose
 squared norm lies 5e-13 below 1 + tol, inside the band where that
 decision falls back to the whole grid, is classified on the same three
-grids.  Keys are sorted and floats are written in full, so two runs of
-the same code give byte-identical files and runs of two revisions can be
-compared line by line.
+grids.  Two cases pin both sides of the NotPSD scan that
+``bauer_factorize`` skips when ``classify``'s grid peak settles it: the
+pencil sqrt(1 + 5e-11) (0.6 + 0.4 lam), which passes ``classify`` but whose
+defect dips to -5e-11, records the NotPSD error of its canonical chain,
+and a margin-1e-8 pencil at n = 4, whose scan is skipped, runs through the
+pipeline at depth 2.  Keys are sorted and floats are written in full, so
+two runs of the same code give byte-identical files and runs of two
+revisions can be compared line by line.
 
 Run from the repository root:
 
@@ -97,6 +102,25 @@ def flat_near_tol(n=4):
     return pd.LinearPencil(a0, np.zeros((n, n)))
 
 
+def margin_1e8(n=4):
+    """A Gaussian pencil at margin 1e-8, drawn from one fixed seed."""
+    rng = np.random.default_rng(4444)
+    a0, a1 = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+              for _ in range(2))
+    return pd.LinearPencil(*_at_margin(a0, a1, 1e-8))
+
+
+def chain_outcome(t) -> dict:
+    """A report-shaped record of ``canonical_chain(t)``: the error that
+    stops it, if any."""
+    try:
+        pd.canonical_chain(t)
+    except pd.PencilError as err:
+        return {"check": "canonical-chain", "pass": False,
+                "error": type(err).__name__, "message": str(err)}
+    return {"check": "canonical-chain", "pass": True}
+
+
 def _negated_head(v):
     """The non-uniform dilation with the head row of its core negated."""
     b0, b1 = v.core.a0.copy(), v.core.a1.copy()
@@ -162,6 +186,10 @@ def cases():
     for grid_size in (8, 64, 256):
         yield f"flat-near-tol-classify-g{grid_size}", \
             lambda grid_size=grid_size: [pd.classify(flat_near_tol(), grid_size)]
+    room = math.sqrt(1.0 + 5e-11)
+    yield "not-psd-in-scan-room", lambda: [
+        chain_outcome(pd.LinearPencil([[0.6 * room]], [[0.4 * room]]))]
+    yield "margin1e-8-scan-skipped-d2", lambda: pd.run_pipeline(margin_1e8(), 2)
     for n in range(1, 5):
         t = next(p for p in corpus if p.shape[0] == n)
         u = pd.canonical_chain(t).u
@@ -171,7 +199,10 @@ def cases():
 
 
 def _json(result) -> dict:
-    """A report's JSON, or a classification's in the same shape."""
+    """A report's JSON, or a classification's in the same shape (a record
+    that already has it is kept)."""
+    if isinstance(result, dict):
+        return result
     if isinstance(result, pd.PencilClass):
         return {"check": "classify", "pass": result.is_contractive,
                 "kind": result.kind.value, "certified": result.certified,
