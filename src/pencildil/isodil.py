@@ -8,12 +8,15 @@ circle parameter, while a finite core block maps the window
 The canonical minimal isometric dilation of a contractive pencil T is the
 d = 0 instance whose core column stacks the outer defect factor F over T.
 
-The window letters are the one description of how V acts.  A finitely
-supported vector is a column of a depth-t window array, deepest slot first:
-[slot -t | ... | slot -1 | head].  The coefficient matrices produced by
-``dense_coefficient`` drop content shifted past slot -t, so they give the
-exact action while supports stay strictly inside the window; every caller
-sizes its window so that nothing is dropped, and nothing is discretized.
+The window letters are the one description of how V, and its unitary
+extension U, act.  A finitely supported vector is a column of a window
+array, deepest slot first: [slot -t | ... | slot -1 | head | future 1 |
+... | future f], with no future slots for V.  ``dense_coefficient`` builds
+the letters of either from the core block of ``_facets``; its matrices
+drop content shifted past slot -t (or, for adjoints, past future slot f),
+so they give the exact action while supports stay strictly inside the
+window.  ``dilation_letters`` sizes the window so that nothing is dropped,
+and nothing is discretized.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, TypeAlias
+from typing import TYPE_CHECKING, NamedTuple, TypeAlias
 
 import numpy as np
 
@@ -133,29 +136,44 @@ def builtin_example(name) -> StructuredIsometricPencil:
     return StructuredIsometricPencil(1, 1, 2, LinearPencil(b0, b1))
 
 
-def window_dim(v: StructuredIsometricPencil, tail_depth: int) -> int:
+def window_dim(v: Dilation, tail_depth: int) -> int:
+    """Dimension of K+'s part of a window: tail slots -t..-1 and the head."""
     return tail_depth * v.dim_y + v.dim_h
 
 
-def dense_coefficient(v: StructuredIsometricPencil, j: int,
-                      tail_depth: int) -> np.ndarray:
-    """Square matrix of the coefficient operator V_j on a depth-t window.
+def dense_coefficient(d: Dilation, j: int, tail_depth: int,
+                      future_depth: int = 0) -> np.ndarray:
+    """Square matrix of the coefficient V_j (or U_j) on the window of tail
+    depth t and future depth f, [slot -t | ... | head | future 1..f].
 
-    Content shifted past slot -t is dropped, so the matrix is exact only
-    while supports stay strictly inside the window; its conjugate transpose
-    is the matching adjoint coefficient under the same proviso.
+    Rows W' (slots -(d+1)..-1 and the head) and columns W (slots -d..-1
+    and the head, plus future slot 1 for U) hold the core block of
+    ``_facets``; U0 and V0 also shift every tail slot deeper than -d one
+    slot deeper, and U0 every future slot k+1 onto k.  V has no future
+    slots, so f does not change its window.  A window without the core's
+    slots (t < d + 1, or f < 1 for U) raises DimensionMismatch.  Content
+    shifted past slot -t or future slot f is dropped, so the matrix is exact
+    only while supports stay strictly inside the window; its conjugate
+    transpose is the matching adjoint coefficient under the same proviso.
     """
-    d = v.core_depth
-    if tail_depth < d + 1:
+    facets = _facets(d)
+    depth = d.core_depth
+    if tail_depth < depth + 1 or (facets.unitary and future_depth < 1):
         raise DimensionMismatch("window too shallow for the core block")
-    dim = window_dim(v, tail_depth)
+    kdim = window_dim(d, tail_depth)
+    fdim = facets.future_dim
+    dim = kdim + future_depth * fdim
     m = np.zeros((dim, dim), dtype=complex)
     if j == 0:
-        k = (tail_depth - d - 1) * v.dim_y
+        k = (tail_depth - depth - 1) * d.dim_y
         if k > 0:
-            m[0:k, v.dim_y:v.dim_y + k] = np.eye(k)
-    coeff = v.core.a0 if j == 0 else v.core.a1
-    m[dim - v.window_prime_dim:, dim - v.window_dim:] = coeff
+            m[0:k, d.dim_y:d.dim_y + k] = np.eye(k)
+        k = (future_depth - 1) * fdim
+        if k > 0:
+            m[kdim:kdim + k, kdim + fdim:kdim + fdim + k] = np.eye(k)
+    block = facets.block.a0 if j == 0 else facets.block.a1
+    rows, cols = block.shape
+    m[kdim - rows:kdim, kdim + fdim - cols:kdim + fdim] = block
     return m
 
 
@@ -173,18 +191,6 @@ def coefficient_norms(d: Dilation) -> tuple[float, float]:
     return max(shift, spec_norm(facets.block.a0)), spec_norm(facets.block.a1)
 
 
-def word_letters(v: StructuredIsometricPencil, n_t: int,
-                 length: int) -> Letters:
-    """Letters (V0, V1) on a window deep enough for words up to ``length``.
-
-    The tail depth length + core_depth + 1 keeps every word's support
-    strictly inside the window, where the dense coefficients act exactly.
-    """
-    tail_depth = length + v.core_depth + 1
-    ops = (dense_coefficient(v, 0, tail_depth), dense_coefficient(v, 1, tail_depth))
-    return Letters.embedded(ops, tail_depth * v.dim_y, n_t)
-
-
 class _Facets(NamedTuple):
     dilation: str          # name of the dilation report
     uniform: str           # name of the uniformity report
@@ -193,29 +199,32 @@ class _Facets(NamedTuple):
     block: LinearPencil    # V's core C, or U's core block [C | Q]
     future_dim: int        # dimension of each future slot (0 for V)
     setup: int             # word steps that precede the minimality window
-    adjoints: bool         # whether minimality words use the adjoint letters
-    letters: Callable      # word_letters or unidil.word_letters_unitary
+    unitary: bool          # U: windows hold future slots, and minimality
+                           # words use the adjoint letters too
 
 
 def _facets(d: Dilation) -> _Facets:
-    """The one place that tells a dilation V from its unitary extension U.
-
-    U's letters are its own, ``unidil.word_letters_unitary`` (imported here
-    because unidil imports this module), and its future slots shift too.
-    """
+    """The one place that tells a dilation V from its unitary extension U."""
     if isinstance(d, StructuredIsometricPencil):
         return _Facets("dilation", "uniform", "minimality", "window_depth",
-                       d.core, 0, 0, False, word_letters)
-    from .unidil import word_letters_unitary
+                       d.core, 0, 0, False)
     return _Facets("compression-tower", "uniform-unitary", "minimality-unitary",
-                   "depth", d.core_block, d.dim_u, d.core_depth + 1, True,
-                   word_letters_unitary)
+                   "depth", d.core_block, d.dim_u, d.core_depth + 1, True)
 
 
 def dilation_letters(d: Dilation, n_t: int, length: int) -> Letters:
     """Letters of V or of U on a window deep enough for words up to
-    ``length``, with T's space of dimension ``n_t`` as head."""
-    return _facets(d).letters(d, n_t, length)
+    ``length``, with T's space of dimension ``n_t`` as head.
+
+    Tail depth length + core_depth + 1, and for U future depth length + 1,
+    keep the support of every word in the letters (and, for U, in their
+    adjoints) strictly inside the window, where the dense coefficients act
+    exactly.
+    """
+    tail_depth = length + d.core_depth + 1
+    future_depth = length + 1 if _facets(d).unitary else 0
+    ops = tuple(dense_coefficient(d, j, tail_depth, future_depth) for j in (0, 1))
+    return Letters.embedded(ops, tail_depth * d.dim_y, n_t)
 
 
 def _check_dilation_input(d: Dilation, t: LinearPencil):
@@ -245,7 +254,7 @@ def core_letters(d: Dilation, t: LinearPencil) -> Letters:
     zero pattern of these letters connects from H to the head, which
     leaves every word's head rows unchanged.
     """
-    return _facets(d).letters(d, t.shape[0], 0).trimmed()
+    return dilation_letters(d, t.shape[0], 0).trimmed()
 
 
 def equals_pencil(letters: Letters, t: LinearPencil) -> bool:
@@ -352,27 +361,43 @@ def check_uniform(d: Dilation, t: LinearPencil, max_len: int = 6,
                                 tol, None, details)
 
 
-def minimality_report(d: Dilation, t: LinearPencil, depth: int | None,
-                      rank_tol: float) -> Report:
-    """Deficit dim W_D - dim(S_L n W_D) of the minimality check of V or U.
+def check_minimality(d: Dilation, t: LinearPencil, depth: int | None = None,
+                     rank_tol: float = _RANK_TOL) -> Report:
+    """Minimality of V (or U), decided at every depth by one containment.
 
-    W_D is the window of tail slots -D..-1, the head and future slots 1..D
-    (none for V).  S_L is the span of the words of length <= L = D + setup
-    applied to H, in the letters of ``_facets`` (and, for U, their
-    adjoints); ``span_rank`` gives dim(S_L n W_D).  ``depth`` is D, by
-    default core_depth + 1; a negative depth raises ValueError.
+    Let W_D be the window of tail slots -D..-1, the head and future slots
+    1..D (none for V), and S_L the span of the words of length <= L applied
+    to H: words in V0, V1 for V, and over {U0, U1, U0^*, U1^*} for U.  The
+    report passes when W_D lies in S_L for the word cap L = D + setup, where
+    setup is 0 for V and core_depth + 1 for U (the ``word_cap`` detail;
+    deep cores need a setup step before future slots can be reached).  Its
+    residual is the deficit dim W_D - dim(S_L n W_D), with ``span_rank``
+    giving dim(S_L n W_D) on the letters of ``dilation_letters``.
 
-    From the certifying depth on, a pass at one depth is a pass at every
-    deeper one (the induction of ``check_minimality`` and
-    ``unidil.check_minimality_unitary``), so any depth D >= core_depth + 1
-    is decided at the certifying depth: a pass there is the pass at D,
-    with rank dim W_D, and only a deficit there is found again at D
-    itself.  A failure is therefore always a deficit at D.  The details
-    name D under the ``depth_key`` of ``_facets``, its ``word_cap`` L, the
-    depth the verdict was decided at, and whether a pass holds at every
-    depth (``every_depth``, true iff D >= core_depth + 1); they also carry
-    both ranks of the decided containment and the singular-value gap of
-    each of its rank cuts.
+    A pass at depth D >= core_depth + 1 holds at every depth.  For V, tail
+    slot -D is then a shift slot: V0 moves slot -D identically onto slot
+    -(D+1) and V1 is zero there.  So a vector y in slot -(D+1) is V0 of y in
+    slot -D, a vector of W_D in S_D, and lies in V0 S_D, inside S_{D+1};
+    with W_D in S_D this gives W_{D+1} in S_{D+1}.  For U the same holds of
+    U0 and U1 on tail slot -D, and future slot D >= 1 shifts too: U0^*
+    moves it identically onto future slot D+1 and U1^* is zero there.  So
+    both new slots of W_{D+1} lie in U0 S_L + U0^* S_L, inside S_{L+1}, and
+    W_D in S_L gives W_{D+1} in S_{L+1}.  By induction every finitely
+    supported vector of K+ (of K, for U) lies in the span of the words on
+    H, which is therefore dense: the dilation is minimal.
+
+    ``depth`` (the window depth D, nonnegative, else ValueError) defaults
+    to this certifying depth core_depth + 1.  Any deeper depth is decided
+    at the certifying depth: a pass there is the pass at D, with rank
+    dim W_D, and only a deficit there is found again at D itself.  A
+    failure is therefore always a deficit of W_D in S_L at that depth only;
+    an untouched line adjoined to the dilation space fails at every depth.
+    The report is ``minimality`` for V and ``minimality-unitary`` for U.
+    Its details name D under the ``depth_key`` of ``_facets``, its
+    ``word_cap`` L, the depth the verdict was decided at, and whether a
+    pass holds at every depth (``every_depth``, true iff
+    D >= core_depth + 1); they also carry both ranks of the decided
+    containment and the singular-value gap of each of its rank cuts.
     """
     _check_dilation_input(d, t)
     facets = _facets(d)
@@ -387,8 +412,8 @@ def minimality_report(d: Dilation, t: LinearPencil, depth: int | None,
 
     for decided in sorted({min(depth, certifying), depth}):
         cap = decided + facets.setup
-        letters = facets.letters(d, t.shape[0], cap)
-        if facets.adjoints:
+        letters = dilation_letters(d, t.shape[0], cap)
+        if facets.unitary:
             letters = letters.with_adjoints()
         top = letters.head.start
         window = slice(top - decided * d.dim_y,
@@ -409,29 +434,3 @@ def minimality_report(d: Dilation, t: LinearPencil, depth: int | None,
     return Report.from_residual(facets.minimality, float(deficit), 0.0,
                                 witness={"rank": rank, "expected": expected},
                                 details=[details])
-
-
-def check_minimality(v: StructuredIsometricPencil, t: LinearPencil,
-                     depth: int | None = None,
-                     rank_tol: float = _RANK_TOL) -> Report:
-    """Minimality of V, decided at every depth by one containment.
-
-    Let S_L be the span of the words of length <= L in V0, V1 applied to H
-    and W_D the window of tail slots -D..-1 and the head.  The report
-    passes when W_D lies in S_D: its residual is the deficit
-    dim W_D - dim(S_D n W_D), found by ``minimality_report``.
-
-    A pass at depth D >= core_depth + 1 holds at every depth.  Tail slot
-    -D is then a shift slot: V0 moves slot -D identically onto slot
-    -(D+1) and V1 is zero there.  So a vector y in slot -(D+1) is V0 of y
-    in slot -D, a vector of W_D in S_D, and lies in V0 S_D, inside
-    S_{D+1}; with W_D in S_D this gives W_{D+1} in S_{D+1}.  By induction
-    every finitely supported vector of K+ lies in the span of the words on
-    H, which is therefore dense: V is minimal.  ``depth`` (the window depth
-    D, nonnegative, else ValueError) defaults to this certifying depth
-    core_depth + 1, every deeper depth is decided there, and the details
-    say whether a pass holds at every depth.  A failure is a deficit of W_D
-    in S_D at that depth only.  An untouched line adjoined to the dilation
-    space fails at every depth.
-    """
-    return minimality_report(v, t, depth, rank_tol)

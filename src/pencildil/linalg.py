@@ -26,21 +26,13 @@ from scipy.linalg import blas, lapack
 from .errors import ContainmentViolation, NotHermitian, NotPSD, ShapeMismatch
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Decision thresholds threaded through the constructions.
-
-    rank: relative singular-value cutoff for rank/range decisions.
-    containment: absolute bound on ||(I - P_A) B|| when B must lie in span(A).
-    hermitian: absolute asymmetry bound for matrices required self-adjoint.
-    """
-
-    rank: float = 1e-10
-    containment: float = 1e-9
-    hermitian: float = 1e-12
-
-
-DEFAULT_TOLERANCES = ToleranceProfile()
+# Default decision thresholds: the relative singular-value cutoff of rank
+# and range decisions, the absolute bound on ||(I - P_A) B|| when B must lie
+# in span(A), and the absolute asymmetry bound of a matrix required to be
+# self-adjoint.
+_RANK_TOL = 1e-10
+_CONTAINMENT_TOL = 1e-9
+_HERMITIAN_TOL = 1e-12
 
 # Orthonormality of a SubspaceBasis is a structural invariant, not a knob.
 _BASIS_GRAM_TOL = 1e-12
@@ -244,7 +236,7 @@ class SubspaceBasis:
         return cls(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
 
-def orthonormal_range(m, tol: float = DEFAULT_TOLERANCES.rank) -> SubspaceBasis:
+def orthonormal_range(m, tol: float = _RANK_TOL) -> SubspaceBasis:
     """Canonical orthonormal basis of the numerical column space of ``m``.
 
     Singular directions with sigma <= tol * sigma_max are discarded; the
@@ -264,7 +256,7 @@ def orthonormal_range(m, tol: float = DEFAULT_TOLERANCES.rank) -> SubspaceBasis:
 
 
 def orthocomplement_within(a: SubspaceBasis, b: SubspaceBasis,
-                           containment_tol: float = DEFAULT_TOLERANCES.containment
+                           containment_tol: float = _CONTAINMENT_TOL
                            ) -> SubspaceBasis:
     """Orthonormal basis of span(a) minus span(b); requires b inside span(a)."""
     if a.ambient_dim != b.ambient_dim:
@@ -292,7 +284,7 @@ def projector(b: SubspaceBasis) -> np.ndarray:
     return b.basis @ b.basis.conj().T
 
 
-def psd_sqrt(m, tol: float = DEFAULT_TOLERANCES.hermitian) -> np.ndarray:
+def psd_sqrt(m, tol: float = _HERMITIAN_TOL) -> np.ndarray:
     """PSD square root by eigendecomposition; clips tiny negative eigenvalues.
 
     Raises NotHermitian when the asymmetry exceeds ``tol`` and NotPSD when
@@ -315,7 +307,7 @@ def psd_sqrt(m, tol: float = DEFAULT_TOLERANCES.hermitian) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def numerical_rank(m, tol: float = DEFAULT_TOLERANCES.rank) -> int:
+def numerical_rank(m, tol: float = _RANK_TOL) -> int:
     """Number of singular values above tol * sigma_max (0 for the zero matrix)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -326,7 +318,7 @@ def numerical_rank(m, tol: float = DEFAULT_TOLERANCES.rank) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def ranks(stack, tol: float = DEFAULT_TOLERANCES.rank) -> np.ndarray:
+def ranks(stack, tol: float = _RANK_TOL) -> np.ndarray:
     """``numerical_rank`` of each matrix of a (G, m, n) stack, by one batched SVD."""
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -9,13 +9,14 @@ future slot 1 through the isometric pencil Q(lam) = [P(lam)|K1, 0; 0, I_L]
 and shifting the remaining future slots down; it is unitary exactly when
 its square core block [C | Q] is.
 
-As for V, the window letters ``dense_u_coefficient`` are the one
-description of how U acts.  A vector of K is a column of a window array
-[slot -t | ... | slot -1 | head | future 1 | ... | future f] (f = 0 for
-K+), and ``words.act`` applies U0 + lam U1 or its adjoint to a whole block
-of such columns, one lambda per column.  U's dilation (compression tower)
-and uniformity reports are ``isodil.check_dilation`` and
-``isodil.check_uniform`` on these letters.
+U's window letters are built as V's are, by ``isodil.dense_coefficient``
+and ``isodil.dilation_letters``, from its core block [C | Q]: they are the
+one description of how U acts.  A vector of K is a column of a window
+array [slot -t | ... | slot -1 | head | future 1 | ... | future f] (f = 0
+for K+), and ``words.act`` applies U0 + lam U1 or its adjoint to a whole
+block of such columns, one lambda per column.  U's dilation (compression
+tower), uniformity and minimality reports are ``isodil.check_dilation``,
+``isodil.check_uniform`` and ``isodil.check_minimality`` on these letters.
 
 For the depth-0 canonical core C = [F; T] the core block [C | Q] is the
 block function theta(z) = [[F, P_Y Q], [T, P_H Q]] from H (+) U into
@@ -32,14 +33,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NotIsometric, PencilError
-from .isodil import (StructuredIsometricPencil, dense_coefficient,
-                     minimality_report, window_dim)
+from .isodil import StructuredIsometricPencil, dilation_letters
 from .linalg import (SubspaceBasis, adjoints, orthocomplement_within,
                      orthonormal_range, projector, spec_norms)
 from .pencil import (LinearPencil, evaluate_all, full_rank_on_grid,
                      is_isometric, isometry_defect)
 from .reporting import Report
-from .words import Letters
 
 _ISO_TOL = 1e-8
 _RANK_TOL = 1e-8
@@ -182,43 +181,6 @@ def build_unitary(v: StructuredIsometricPencil) -> UnitaryDilation:
     return UnitaryDilation(v=v, q=build_q(cores), cores=cores)
 
 
-def dense_u_coefficient(u: UnitaryDilation, j: int, tail_depth: int,
-                        future_depth: int) -> np.ndarray:
-    """Coefficient operator U_j on the window [K+ depth t | future 1..m].
-
-    Same drop-at-the-edge proviso as ``dense_coefficient``: exact while tail
-    support stays below t and (for adjoints) future support below m.
-    """
-    v = u.v
-    kdim = window_dim(v, tail_depth)
-    udim = u.dim_u
-    dim = kdim + future_depth * udim
-    m = np.zeros((dim, dim), dtype=complex)
-    m[0:kdim, 0:kdim] = dense_coefficient(v, j, tail_depth)
-    qj = u.q.q0 if j == 0 else u.q.q1
-    wp = v.window_prime_dim
-    m[kdim - wp:kdim, kdim:kdim + udim] = qj
-    if j == 0:
-        k = (future_depth - 1) * udim
-        if k > 0:
-            m[kdim:kdim + k, kdim + udim:kdim + udim + k] = np.eye(k)
-    return m
-
-
-def word_letters_unitary(u: UnitaryDilation, n_t: int, length: int) -> Letters:
-    """Letters (U0, U1) on a window deep enough for words up to ``length``.
-
-    Tail depth length + core_depth + 1 and future depth length + 1 keep the
-    support of every word in the letters and their adjoints strictly inside
-    the window, where the dense coefficients act exactly.
-    """
-    tail_depth = length + u.core_depth + 1
-    future_depth = length + 1
-    ops = (dense_u_coefficient(u, 0, tail_depth, future_depth),
-           dense_u_coefficient(u, 1, tail_depth, future_depth))
-    return Letters.embedded(ops, tail_depth * u.dim_y, n_t)
-
-
 def q_identity_residuals(v: StructuredIsometricPencil, q: QPencil,
                          lams) -> np.ndarray:
     """Larger residual of I - V V^* = Q Q^* and V^* Q = 0 at each lambda.
@@ -264,10 +226,11 @@ def check_unitarity(u: UnitaryDilation, tol: float = 1e-10) -> Report:
     Fourier coefficients of the circle function, so each bound lies in
     [M, 3M] for its circle maximum M.
 
-    The letters are read on the dense window of tail depth d + 3 and
-    future depth 3 (d the core depth), on the interior coordinates I that
-    leave out the deepest tail slot and the outermost future slot; the
-    residual is the larger of the two bounds there.  They hold on all of
+    The letters are ``dilation_letters`` for words of length 2, on the
+    window of tail depth d + 3 and future depth 3 (d the core depth), read
+    on the interior coordinates I that leave out the deepest tail slot and
+    the outermost future slot; the residual is the larger of the two
+    bounds there.  They hold on all of
     K.  Write W for tail slots -d..-1 and the head, W' for slots
     -(d+1)..-1 and the head, and F1 for future slot 1.  U1 is zero outside
     the columns W + F1, and both letters map those columns into W'.  Every
@@ -283,8 +246,7 @@ def check_unitarity(u: UnitaryDilation, tol: float = 1e-10) -> Report:
     names the side, ``U^*U`` or ``UU^*``, with the larger bound; the
     details carry both.
     """
-    t, f = u.core_depth + 3, 3
-    u0, u1 = (dense_u_coefficient(u, j, t, f) for j in (0, 1))
+    u0, u1 = dilation_letters(u, u.dim_h, 2).ops
     inner = slice(u.dim_y, len(u0) - u.dim_u)
     sides = {
         "U^*U": isometry_defect(LinearPencil(u0[:, inner], u1[:, inner])),
@@ -295,34 +257,6 @@ def check_unitarity(u: UnitaryDilation, tol: float = 1e-10) -> Report:
     details = [{"side": side, "residual": resid} for side, resid in sides.items()]
     witness = {"side": worst} if sides[worst] > tol else None
     return Report.from_residual("unitarity", sides[worst], tol, witness, details)
-
-
-def check_minimality_unitary(u: UnitaryDilation, t: LinearPencil,
-                             depth: int | None = None,
-                             rank_tol: float = _RANK_TOL) -> Report:
-    """Minimality of U, decided at every depth by one containment.
-
-    Let S_L be the span of the words of length <= L over {U0, U1, U0^*,
-    U1^*} applied to H and W_D the window of tail slots -D..-1, the head
-    and future slots 1..D.  The report passes when W_D lies in S_L for the
-    word cap L = D + core_depth + 1 (the ``word_cap`` detail; deep cores
-    need a setup step before future slots can be reached): its residual is
-    the deficit dim W_D - dim(S_L n W_D), found by ``minimality_report``.
-
-    A pass at depth D >= core_depth + 1 holds at every depth.  Tail slot
-    -D is then a shift slot: U0 moves it identically onto slot -(D+1) and
-    U1 is zero there.  Future slot D >= 1 shifts too: U0^* moves it
-    identically onto future slot D+1 and U1^* is zero there.  So both new
-    slots of W_{D+1} lie in U0 S_L + U0^* S_L, inside S_{L+1}, and W_D in
-    S_L gives W_{D+1} in S_{L+1}.  By induction every finitely supported
-    vector of K lies in the span of the words on H, which is therefore
-    dense: U is minimal.  ``depth`` (the window depth D, nonnegative, else
-    ValueError) defaults to this certifying depth core_depth + 1, every
-    deeper depth is decided there, and the details say whether a pass
-    holds at every depth.  A failure is a deficit of W_D in S_L at that
-    depth only.
-    """
-    return minimality_report(u, t, depth, rank_tol)
 
 
 def theta_boundary_residuals(theta: LinearPencil, lams) -> np.ndarray:

@@ -23,16 +23,13 @@ from .factorization import (FejerRieszFactor, GramCoefficients,
 from .isodil import (BuiltinExample, Dilation, StructuredIsometricPencil,
                      build_canonical, builtin_example, check_dilation,
                      check_minimality, check_uniform, coefficient_norms,
-                     dense_coefficient, dilation_letters, window_dim,
-                     word_letters)
+                     dilation_letters, window_dim)
 from .linalg import spec_norm, spec_norms
 from .pencil import (DEFAULT_GRID, LinearPencil, classify, evaluate_all,
                      unit_circle_grid)
 from .reporting import Report
 from .unidil import (QPencil, UnitaryDilation, build_unitary, check_biinner,
-                     check_minimality_unitary, check_unitarity,
-                     dense_u_coefficient, q_identity_defect,
-                     word_letters_unitary)
+                     check_unitarity, q_identity_defect)
 from .words import act, closure, difference
 
 CORPUS_SEED = 20240601
@@ -83,16 +80,17 @@ class CanonicalChain:
 
 def canonical_chain(t: LinearPencil,
                     grid_size: int = DEFAULT_GRID) -> CanonicalChain:
-    """Factorize, dilate and extend a contractive pencil in one pass."""
+    """Factorize, dilate and extend a contractive pencil in one pass.
+
+    ``grid_size`` is the grid of ``gram_coefficients`` and of the NotPSD
+    scan of ``bauer_factorize``, which is skipped when the grid peak that
+    ``classify`` found on that same grid settles it.
+    """
     g = gram_coefficients(t, grid_size=grid_size)
-    f = bauer_factorize(g)
+    f = bauer_factorize(g, grid_size=grid_size)
     u = build_unitary(build_canonical(t, f))
     return CanonicalChain(pencil=t, gram=g, factor=f, v=u.v, q=u.q, u=u,
                           theta=u.core_block)
-
-
-def _u_letters(u: UnitaryDilation, tail_depth: int, future_depth: int) -> tuple:
-    return tuple(dense_u_coefficient(u, j, tail_depth, future_depth) for j in (0, 1))
 
 
 def _worst_column(block: np.ndarray) -> float:
@@ -159,8 +157,8 @@ def run_pipeline(t: LinearPencil, depth: int = 4,
     reports.append(check_unitarity(chain.u))
     reports.append(check_dilation(chain.u, t, max_len=word_len))
     reports.append(check_uniform(chain.u, t, max_len=word_len))
-    reports.append(check_minimality_unitary(chain.u, t, depth=depth,
-                                            rank_tol=rank_tol))
+    reports.append(check_minimality(chain.u, t, depth=depth,
+                                    rank_tol=rank_tol))
     reports.append(Report.from_residual(
         "dimension-law", float(abs(chain.u.dim_u - chain.factor.dim_y)), 0.0,
         witness={"dimU": chain.u.dim_u, "dimY": chain.factor.dim_y},
@@ -289,7 +287,8 @@ def _demo_two_sided_shift() -> list[Report]:
     t = _zero_pencil()
     chain = _shift_chain()
     u = chain.u
-    ops = _u_letters(u, 2, 2)  # [slot -2 | slot -1 | head | future 1 | future 2]
+    # [slot -2 | slot -1 | head | future 1 | future 2]
+    ops = dilation_letters(u, 1, 1).ops
     lam = np.array(_DEMO_LAMBDAS)
     e_minus1, e_head, e_fut1 = (_demo_columns(5, row) for row in (1, 2, 3))
     resid = max(_worst_column(act(ops, lam, e_head) - e_minus1),
@@ -301,7 +300,7 @@ def _demo_two_sided_shift() -> list[Report]:
         Report.from_residual("two-sided-shift/lambda-independent", n1, 1e-12),
         Report.from_residual("two-sided-shift/shift-norm", abs(n0 - 1.0), 1e-12),
     ]
-    out.append(check_minimality_unitary(u, t))
+    out.append(check_minimality(u, t))
     out.append(check_uniform(u, t, max_len=4))
     return out
 
@@ -314,12 +313,12 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
     # U restricted to K+ is V: on the window one shift slot past the core
     # (deeper tail slots shift alike in both), U's letters on the K+
     # columns are V's letters over zero future rows
-    depth = v.core_depth + 2
-    kdim = window_dim(v, depth)
+    kdim = window_dim(v, v.core_depth + 2)
     ext = 0.0
-    for j, u_j in enumerate(_u_letters(u, depth, 1)):
+    for u_j, v_j in zip(dilation_letters(u, 1, 1).ops,
+                        dilation_letters(v, 1, 1).ops):
         expected = np.zeros((len(u_j), kdim), dtype=complex)
-        expected[:kdim] = dense_coefficient(v, j, depth)
+        expected[:kdim] = v_j
         ext = max(ext, spec_norm(u_j[:, :kdim] - expected))
     n0, n1 = coefficient_norms(u)
     falsify = equivalence_falsifier(u, classical, t, depth=3)
@@ -329,7 +328,7 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
         Report.from_residual("lambda-two-sided-shift/lambda-coefficient",
                              abs(n1 - 1.0), 1e-12),
         check_unitarity(u),
-        check_minimality_unitary(u, t),
+        check_minimality(u, t),
         check_uniform(u, t, max_len=4),
         _expect_flag(
             "lambda-two-sided-shift/not-equivalent-to-classical",
@@ -344,7 +343,7 @@ def _demo_lambda_two_sided_shift() -> list[Report]:
 def _demo_non_uniform_iso() -> list[Report]:
     t = _zero_pencil()
     v = builtin_example(BuiltinExample.NON_UNIFORM_V)
-    letters = word_letters(v, 1, 5)  # tail depth 8: slot -n is row head - n
+    letters = dilation_letters(v, 1, 5)  # tail depth 8: slot -n is row head - n
     head = letters.head.start
     lam = np.array(_DEMO_LAMBDAS)
     x = act(letters.ops, lam, _demo_columns(head + 1, head))
@@ -386,7 +385,7 @@ def _demo_non_uniform_uni() -> list[Report]:
     u = build_unitary(v)
     s = 1.0 / math.sqrt(2.0)
     # tail depth 5, future depth 3: slot -n is row head - n, future n row head + n
-    letters = word_letters_unitary(u, 1, 2)
+    letters = dilation_letters(u, 1, 2)
     head = letters.head.start
     lam = np.array(_DEMO_LAMBDAS)
     got = act(letters.ops, lam, _demo_columns(letters.start.shape[0], head + 1))
@@ -406,7 +405,7 @@ def _demo_non_uniform_uni() -> list[Report]:
         check_unitarity(u),
         Report.from_residual("non-uniform-uni/extension-column", resid, 1e-12),
         check_dilation(u, t, max_len=6),
-        check_minimality_unitary(u, t),
+        check_minimality(u, t),
         Report.from_residual("non-uniform-uni/uniformity-witness", witness_resid,
                              1e-12, {"identity": "P_H U(-1)U(1)h = -h"}),
         _expect_flag("non-uniform-uni/not-uniform", not uniform.passed,

@@ -3,7 +3,7 @@
 A vector of K is ``(tail, head, future)``: ``tail[i]`` is Y-slot -(i+1) and
 ``future[i]`` is U-slot i+1, both plain lists of arrays.  The maps follow
 the definitions slot by slot and never build a window matrix, so they are
-independent of ``dense_coefficient`` and ``dense_u_coefficient``.
+independent of ``isodil.dense_coefficient``, the window builder of both.
 """
 
 import numpy as np

@@ -11,7 +11,6 @@ import numpy as np
 import pencildil as pd
 from pencildil.isodil import dense_coefficient
 from pencildil.linalg import spec_norm
-from pencildil.unidil import dense_u_coefficient
 from pencildil.words import act
 
 ZERO = pd.LinearPencil([[0.0]], [[0.0]])
@@ -108,14 +107,13 @@ def test_criterion_5_dilation_tower(corpus, all_chains):
 def test_criterion_6_unitary_minimality(corpus, all_chains):
     ranks_ok = True
     for t, chain in zip(corpus, all_chains):
-        rep = pd.check_minimality_unitary(chain.u, t, depth=4, rank_tol=1e-8)
+        rep = pd.check_minimality(chain.u, t, depth=4, rank_tol=1e-8)
         expected = 4 * chain.v.dim_y + chain.v.dim_h + 4 * chain.u.dim_u
         ranks_ok = ranks_ok and rep.passed and rep.witness["rank"] == expected
     core = pd.LinearPencil([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
                            np.zeros((3, 2)))
     padded = pd.StructuredIsometricPencil(1, 2, 0, core)
-    padded_rep = pd.check_minimality_unitary(pd.build_unitary(padded), ZERO,
-                                             depth=4)
+    padded_rep = pd.check_minimality(pd.build_unitary(padded), ZERO, depth=4)
     ok = ranks_ok and not padded_rep.passed
     _record(6, "unitary minimality rank at depth 4 + padded counterexample",
             ok, f"padded rank {padded_rep.witness['rank']}/"
@@ -142,7 +140,7 @@ def test_criterion_8_classical_reductions(corpus):
                            coefficient_norm_1(chain.u))
     shift = pd.canonical_chain(ZERO)
     # window [slot -2 | slot -1 | head | future 1 | future 2]
-    ops = tuple(dense_u_coefficient(shift.u, j, 2, 2) for j in (0, 1))
+    ops = tuple(dense_coefficient(shift.u, j, 2, 2) for j in (0, 1))
     e_minus1, e_head, e_fut1 = np.eye(5)[:, 1], np.eye(5)[:, 2], np.eye(5)[:, 3]
     shift_exact = True
     for lam in (1.0, 1j, -1.0):
@@ -170,7 +168,7 @@ def test_criterion_9_unitary_examples_and_falsifiers():
     n0, n1 = pd.coefficient_norms(u_prime)
     pattern_ok = abs(n1 - 1.0) <= 1e-12 and abs(n0 - 1.0) <= 1e-12
     # window [slot -2 | slot -1 | head | future 1 | future 2]
-    ops = tuple(dense_u_coefficient(u_prime, j, 2, 2) for j in (0, 1))
+    ops = tuple(dense_coefficient(u_prime, j, 2, 2) for j in (0, 1))
     for lam in (1j, -1.0):
         out = act(ops, lam, np.eye(5)[:, 2])
         pattern_ok = pattern_ok and abs(out[1] - lam) <= 1e-15
@@ -184,7 +182,7 @@ def test_criterion_9_unitary_examples_and_falsifiers():
     fals2_ok = (w2["verdict"] == "NOT_EQUIVALENT"
                 and w2["invariant"] == "uniformity")
     u_tilde = pd.build_unitary(vt)
-    minimal = pd.check_minimality_unitary(u_tilde, ZERO, depth=4).passed
+    minimal = pd.check_minimality(u_tilde, ZERO, depth=4).passed
     uniform = pd.check_uniform(u_tilde, ZERO, max_len=4).passed
     ok = pattern_ok and fals1_ok and fals2_ok and minimal and not uniform
     _record(9, "lambda-shift extension pattern, falsifier witnesses, "

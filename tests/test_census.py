@@ -11,7 +11,8 @@ back into a settled decision, fails here without any timing.
 import numpy as np
 import pytest
 
-from pencildil import LinearPencil, canonical_chain, factorization, linalg, pencil
+from pencildil import (LinearPencil, canonical_chain, factorization, linalg,
+                       pencil, seeded_corpus)
 
 
 def _gaussian(rng, n):
@@ -50,7 +51,7 @@ def edge_pencil(family, n):
     return LinearPencil(w @ a0 @ w.conj().T, w @ a1 @ w.conj().T)
 
 
-def census(monkeypatch, t):
+def census(monkeypatch, t, grid_size=pencil.DEFAULT_GRID):
     counts = dict.fromkeys(("zgesdd", "unimodular_roots", "outer_roots"), 0)
 
     def counting(module, name, key):
@@ -65,7 +66,7 @@ def census(monkeypatch, t):
     counting(linalg, "_gesdd", "zgesdd")
     counting(pencil, "unimodular_roots", "unimodular_roots")
     counting(factorization, "outer_roots", "outer_roots")
-    return canonical_chain(t), counts
+    return canonical_chain(t, grid_size=grid_size), counts
 
 
 # (family, n): exact (zgesdd, unimodular_roots, outer_roots) per chain.
@@ -94,3 +95,13 @@ def test_canonical_chain_census(monkeypatch, family, n):
     assert (counts["zgesdd"], counts["unimodular_roots"],
             counts["outer_roots"]) == CENSUS[family, n]
     assert counts["zgesdd"] <= 12
+
+
+@pytest.mark.parametrize("grid_size", [64, 256])
+def test_canonical_chain_scans_on_its_own_grid(monkeypatch, grid_size):
+    # The factorization gets the chain's grid too, so the NotPSD scan reads
+    # the peak ``classify`` found on that grid and is skipped at any grid
+    # size: classify's QZ is the only palindromic one.
+    _, counts = census(monkeypatch, seeded_corpus()[3], grid_size)
+    assert (counts["zgesdd"], counts["unimodular_roots"],
+            counts["outer_roots"]) == (9, 1, 1)

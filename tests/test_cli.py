@@ -218,8 +218,8 @@ def perturbed_factor(monkeypatch):
     by far more than round-off."""
     exact = verify.bauer_factorize
 
-    def bumped(g):
-        f = exact(g)
+    def bumped(g, grid_size):
+        f = exact(g, grid_size=grid_size)
         return FejerRieszFactor(f.f0 + 1e-11, f.f1)
 
     monkeypatch.setattr(verify, "bauer_factorize", bumped)

@@ -31,13 +31,12 @@ from pencildil import (FejerRieszFactor, GramCoefficients, LinearPencil,
 from pencildil import linalg
 from pencildil import pencil as pencil_module
 from pencildil.factorization import factorization_residuals
-from pencildil.isodil import window_dim
+from pencildil.isodil import dilation_letters, window_dim
 from pencildil.linalg import numerical_rank, ranks, spec_norm, spec_norms
 from pencildil.pencil import (PencilClass, PencilKind, candidate_indices,
                               evaluate, rank_candidates, unimodular_roots,
                               unit_circle_grid)
-from pencildil.unidil import (q_identity_residuals, theta_boundary_residuals,
-                              word_letters_unitary)
+from pencildil.unidil import q_identity_residuals, theta_boundary_residuals
 from pencildil.words import grouped_sums
 from slot_oracle import column, u_act, u_adjoint, v_act
 
@@ -429,7 +428,7 @@ def test_compression_tower_matches_structured_loop(pencils, chains):
     # against the powers of lam they give the slot oracle's tower
     for t, chain in zip(pencils, chains):
         n_t = t.shape[0]
-        coeffs = list(grouped_sums(word_letters_unitary(chain.u, n_t, 4), 4))
+        coeffs = list(grouped_sums(dilation_letters(chain.u, n_t, 4), 4))
         for lam in unit_circle_grid(8):
             for n, (_, fwd, _) in enumerate(oracle_tower(chain.u, t, lam, 4), 1):
                 got = np.tensordot(lam ** np.arange(n + 1), coeffs[n], axes=1)

@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from pencildil import (BuiltinExample, FejerRieszFactor, LinearPencil,
-                       NotIsometric, PencilKind, QPencil,
+from pencildil import (BuiltinExample, DimensionMismatch, FejerRieszFactor,
+                       LinearPencil, NotIsometric, PencilKind, QPencil,
                        StructuredIsometricPencil, UnitaryDilation,
                        bauer_factorize, build_canonical, build_unitary,
                        builtin_example, canonical_chain,
                        ShapeMismatch, check_biinner, check_dilation,
-                       check_minimality, check_minimality_unitary,
-                       check_uniform, check_unitarity, classify,
+                       check_minimality, check_uniform, check_unitarity,
+                       classify,
                        coefficient_norms, core_subspaces, gram_coefficients,
                        isometry_defect, q_identity_defect, run_pipeline,
                        unit_circle_grid)
-from pencildil import unidil, verify
+from pencildil import isodil, unidil, verify
 from pencildil.isodil import dense_coefficient, window_dim
 from pencildil.linalg import spec_norm
-from pencildil.unidil import dense_u_coefficient, q_identity_residuals
+from pencildil.unidil import q_identity_residuals
 from pencildil.words import act
 from slot_oracle import (column, norm, random_vector, u_act, u_adjoint,
                          v_act)
@@ -26,7 +26,7 @@ ZERO = LinearPencil([[0.0]], [[0.0]])
 
 
 def u_letters(u, tail_depth, future_depth):
-    return tuple(dense_u_coefficient(u, j, tail_depth, future_depth) for j in (0, 1))
+    return tuple(dense_coefficient(u, j, tail_depth, future_depth) for j in (0, 1))
 
 
 def u_column(u, x, tail_depth, future_depth):
@@ -78,8 +78,8 @@ def test_core_within_the_isometry_cutoff_runs_every_report(monkeypatch):
     # at their tighter tolerances, by no more than the cutoff allows.
     exact = verify.bauer_factorize
 
-    def bumped(g):
-        f = exact(g)
+    def bumped(g, grid_size):
+        f = exact(g, grid_size=grid_size)
         return FejerRieszFactor(f.f0 * (1 + 1e-9), f.f1)
 
     monkeypatch.setattr(verify, "bauer_factorize", bumped)
@@ -173,6 +173,18 @@ def test_window_letters_match_slot_oracle(all_chains):
                 assert np.linalg.norm(dense - exact) <= 1e-12 * scale
 
 
+def test_u_window_must_hold_future_slot_1(scalar_chain):
+    # [C | Q] reads future slot 1, so a U window without it is rejected, as
+    # a window too shallow for the core is; V's windows have no future slot.
+    u = scalar_chain.u
+    with pytest.raises(DimensionMismatch):
+        dense_coefficient(u, 0, 1, 0)
+    with pytest.raises(DimensionMismatch):
+        dense_coefficient(u, 1, 2)
+    assert dense_coefficient(u, 1, 1, 1).shape == (3, 3)
+    assert dense_coefficient(u.v, 1, 1).shape == (2, 2)
+
+
 def test_check_unitarity_catches_a_wrong_q(scalar_chain):
     # -q1 keeps Q isometric, so QPencil accepts it, but [C | Q] is no
     # longer unitary: Q no longer closes the defect of V
@@ -188,20 +200,34 @@ def test_check_unitarity_catches_a_wrong_q(scalar_chain):
     assert passed.passed and passed.witness is None
 
 
+def mutate_u_windows(monkeypatch, mutation):
+    """Patch the one window builder, ``isodil.dense_coefficient``, in every
+    module that binds it, so that ``mutation(u, j, tail_depth, m)`` edits
+    the letters of U's windows (future depth >= 1) and of no V window."""
+    exact = isodil.dense_coefficient
+
+    def mutated(d, j, tail_depth, future_depth=0):
+        m = exact(d, j, tail_depth, future_depth)
+        if future_depth >= 1:
+            mutation(d, j, tail_depth, m)
+        return m
+
+    for module in (isodil, unidil, verify):
+        if getattr(module, "dense_coefficient", None) is exact:
+            monkeypatch.setattr(module, "dense_coefficient", mutated)
+
+
 def test_unitarity_reads_the_letters_of_u(monkeypatch, all_chains):
     # Letters without the future shift (U0 no longer moves future slot k + 1
     # onto k) leave [C | Q] unitary, so q-identities passes, but U is no
     # longer unitary: unitarity reads U's own letters, which is why both
     # reports are kept.
-    exact = unidil.dense_u_coefficient
-
-    def no_future_shift(u, j, tail_depth, future_depth):
-        m = exact(u, j, tail_depth, future_depth)
-        kdim = window_dim(u.v, tail_depth)
+    def no_future_shift(u, j, tail_depth, m):
+        kdim = window_dim(u, tail_depth)
         m[kdim:, kdim + u.dim_u:] = 0.0
-        return m
 
-    monkeypatch.setattr(unidil, "dense_u_coefficient", no_future_shift)
+    assert all(check_unitarity(chain.u).passed for chain in all_chains[:6])
+    mutate_u_windows(monkeypatch, no_future_shift)
     for chain in all_chains[:6]:
         assert q_identity_defect(chain.u) <= 1e-9
         report = check_unitarity(chain.u)
@@ -326,7 +352,7 @@ def test_bilateral_shift_pattern():
     # window [slot -2 | slot -1 | head | future 1 | future 2]
     out = act(u_letters(u, 2, 2), 1j, np.eye(5)[:, 3])
     assert abs(out[2] - 1.0) < 1e-15 and not np.any(out[3:])
-    report = check_minimality_unitary(u, ZERO, depth=4)
+    report = check_minimality(u, ZERO, depth=4)
     assert report.passed and report.witness == {"rank": 9, "expected": 9}
 
 
@@ -355,17 +381,17 @@ def test_degenerate_extension_unitary_input():
     expected = act(tuple(dense_coefficient(v, j, 1) for j in (0, 1)), 1j, x)
     assert np.array_equal(out, expected)
     np.testing.assert_allclose(out, (iso.a0 + 1j * iso.a1) @ x, atol=1e-15)
-    assert check_minimality_unitary(u, iso, depth=3).passed
+    assert check_minimality(u, iso, depth=3).passed
 
 
 def test_minimality_unitary_corpus_and_padded(corpus, all_chains):
     for t, chain in zip(corpus[:4], all_chains[:4]):
-        report = check_minimality_unitary(chain.u, t, depth=4)
+        report = check_minimality(chain.u, t, depth=4)
         expected = 4 * chain.v.dim_y + chain.v.dim_h + 4 * chain.u.dim_u
         assert report.passed and report.witness["rank"] == expected
     core = LinearPencil([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], np.zeros((3, 2)))
     padded = StructuredIsometricPencil(1, 2, 0, core)
-    report = check_minimality_unitary(build_unitary(padded), ZERO, depth=3)
+    report = check_minimality(build_unitary(padded), ZERO, depth=3)
     assert not report.passed
     assert report.witness["expected"] - report.witness["rank"] == 1
     # the deficit is found at the window depth asked for, not only at the
@@ -380,13 +406,13 @@ def test_minimality_defaults_to_the_certifying_depth():
     vt = builtin_example(BuiltinExample.NON_UNIFORM_V)
     u = build_unitary(vt)
     for report, key, cap in ((check_minimality(vt, ZERO), "window_depth", 3),
-                             (check_minimality_unitary(u, ZERO), "depth", 6)):
+                             (check_minimality(u, ZERO), "depth", 6)):
         details = report.details[0]
         assert report.passed and details["every_depth"]
         assert (details[key], details["word_cap"], details["decided_depth"]) \
             == (3, cap, 3)
     for report in (check_minimality(vt, ZERO, depth=2),
-                   check_minimality_unitary(u, ZERO, depth=2)):
+                   check_minimality(u, ZERO, depth=2)):
         assert report.passed and not report.details[0]["every_depth"]
 
 
@@ -394,10 +420,9 @@ def test_minimality_details_carry_the_rank_gaps(corpus, all_chains):
     # Each rank cut reports its smallest kept and largest dropped singular
     # value relative to sigma_max of the span, on either side of rank_tol.
     for t, chain in zip(corpus[:6], all_chains[:6]):
-        for check, d in ((check_minimality, chain.v),
-                         (check_minimality_unitary, chain.u)):
-            report = check(d, t)
-            assert report.to_json_dict() == check(d, t).to_json_dict()
+        for d in (chain.v, chain.u):
+            report = check_minimality(d, t)
+            assert report.to_json_dict() == check_minimality(d, t).to_json_dict()
             details = report.details[0]
             assert details["rank"] == details["span_rank"] - details["outside_rank"]
             assert details["span_gap"][0] is not None
@@ -411,7 +436,7 @@ def test_minimality_rejects_a_non_square_pencil(scalar_chain):
     with pytest.raises(ShapeMismatch):
         check_minimality(scalar_chain.v, t)
     with pytest.raises(ShapeMismatch):
-        check_minimality_unitary(scalar_chain.u, t)
+        check_minimality(scalar_chain.u, t)
 
 
 def test_uniform_words_and_tower(corpus, all_chains):
@@ -426,18 +451,15 @@ def test_compression_tower_reads_the_letters_of_u(monkeypatch, all_chains):
     # A head -> future 1 block in U0 makes U no extension of V: a forward
     # word of U now enters the future slots and comes back through Q.  The
     # tower reads U's own letters, so it fails while V's dilation passes.
-    exact = unidil.dense_u_coefficient
-
-    def leaking(u, j, tail_depth, future_depth):
-        m = exact(u, j, tail_depth, future_depth)
+    def leaking(u, j, tail_depth, m):
         if j == 0:
-            kdim = window_dim(u.v, tail_depth)
+            kdim = window_dim(u, tail_depth)
             m[kdim:kdim + u.dim_u, kdim - u.dim_h:kdim] = 0.5
-        return m
 
-    monkeypatch.setattr(unidil, "dense_u_coefficient", leaking)
     chain = all_chains[2]
     t = chain.pencil
+    assert check_dilation(chain.u, t).passed
+    mutate_u_windows(monkeypatch, leaking)
     assert check_dilation(chain.v, t).passed
     tower = check_dilation(chain.u, t)
     assert tower.check == "compression-tower" and not tower.passed

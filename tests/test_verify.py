@@ -7,9 +7,8 @@ import pytest
 from pencildil import (BuiltinExample, LinearPencil, NotADilation,
                        NotContractive, PencilKind, Report, builtin_example,
                        canonical_chain, check_dilation, check_minimality,
-                       check_minimality_unitary, check_uniform, classify,
-                       classical_slice, demo, equivalence_falsifier,
-                       run_pipeline, seeded_corpus)
+                       check_uniform, classify, classical_slice, demo,
+                       equivalence_falsifier, run_pipeline, seeded_corpus)
 from pencildil import pencil
 from pencildil.verify import DemoName
 
@@ -88,7 +87,7 @@ def test_negative_depth_is_rejected(scalar_chain):
     with pytest.raises(ValueError):
         check_minimality(scalar_chain.v, t, depth=-1)
     with pytest.raises(ValueError):
-        check_minimality_unitary(scalar_chain.u, t, depth=-1)
+        check_minimality(scalar_chain.u, t, depth=-1)
     for d in (scalar_chain.v, scalar_chain.u):
         with pytest.raises(ValueError):
             check_dilation(d, t, max_len=-1)

@@ -5,12 +5,10 @@ import pytest
 
 from pencildil import (BuiltinExample, LinearPencil, StructuredIsometricPencil,
                        build_unitary, builtin_example, check_minimality,
-                       check_minimality_unitary, check_uniform,
-                       equivalence_falsifier)
+                       check_uniform, equivalence_falsifier)
 from pencildil.isodil import (core_letters, dense_coefficient,
-                              dilation_letters, window_dim, word_letters)
+                              dilation_letters, window_dim)
 from pencildil.linalg import numerical_rank, spec_norm
-from pencildil.unidil import dense_u_coefficient, word_letters_unitary
 from pencildil.words import (Letters, closure, closure_bound, difference,
                              grouped_sums, span_rank)
 from word_oracle import (differences, first_difference, levels, word_label,
@@ -57,7 +55,7 @@ def exhaustive_minimality_rank(v, n_t, depth):
 def exhaustive_minimality_unitary_rank(u, n_t, depth):
     cap = depth + u.core_depth + 1
     tail, future = cap + u.core_depth + 1, cap + 1
-    ops = [dense_u_coefficient(u, j, tail, future) for j in (0, 1)]
+    ops = [dense_coefficient(u, j, tail, future) for j in (0, 1)]
     ops += [op.conj().T for op in ops]
     kdim = window_dim(u.v, tail)
     start = np.zeros((kdim + future * u.dim_u, n_t), dtype=complex)
@@ -98,7 +96,7 @@ def test_span_rank_equals_stacked_rank(corpus, all_chains):
         n_t = t.shape[0]
         iso = check_minimality(v, t, depth=depth, rank_tol=RANK_TOL)
         assert iso.witness["rank"] == exhaustive_minimality_rank(v, n_t, depth)
-        uni = check_minimality_unitary(u, t, depth=depth, rank_tol=RANK_TOL)
+        uni = check_minimality(u, t, depth=depth, rank_tol=RANK_TOL)
         assert uni.witness["rank"] == exhaustive_minimality_unitary_rank(u, n_t, depth)
 
 
@@ -135,11 +133,11 @@ def test_minimality_matches_deep_windows(corpus, all_chains):
     def direct(d, t, depth, unitary):
         if unitary:
             cap = depth + d.core_depth + 1
-            letters = word_letters_unitary(d, t.shape[0], cap).with_adjoints()
+            letters = dilation_letters(d, t.shape[0], cap).with_adjoints()
             future = d.dim_u
         else:
             cap, future = depth, 0
-            letters = word_letters(d, t.shape[0], cap)
+            letters = dilation_letters(d, t.shape[0], cap)
         top = letters.head.start
         rows = slice(top - depth * d.dim_y, top + d.dim_h + depth * future)
         found = span_rank(letters, cap, rows, RANK_TOL)
@@ -149,9 +147,8 @@ def test_minimality_matches_deep_windows(corpus, all_chains):
     dilations += [(builtin_example(name), ZERO, True) for name in BuiltinExample]
     dilations.append((padded_shift(), ZERO, False))
     for v, t, minimal in dilations:
-        for d, check, unitary in ((v, check_minimality, False),
-                                  (build_unitary(v), check_minimality_unitary, True)):
-            assert check(d, t).passed == minimal
+        for d, unitary in ((v, False), (build_unitary(v), True)):
+            assert check_minimality(d, t).passed == minimal
             assert all(direct(d, t, depth, unitary) == minimal
                        for depth in range(1, 6))
 
@@ -160,7 +157,7 @@ def test_unitary_minimality_at_depth_10(corpus, all_chains):
     # 4^12 / 3 word columns if stacked exhaustively; decided at depth 1.
     t, chain = corpus[1], all_chains[1]
     assert t.shape == (2, 2)
-    report = check_minimality_unitary(chain.u, t, depth=10)
+    report = check_minimality(chain.u, t, depth=10)
     expected = 10 * chain.v.dim_y + chain.v.dim_h + 10 * chain.u.dim_u
     assert report.passed and report.witness == {"rank": expected,
                                                 "expected": expected}
@@ -230,7 +227,7 @@ def test_falsifier_word_table_witness(unitary):
     def letters(d):
         tail = 3 + d.core_depth + 1
         if unitary:
-            ops = [dense_u_coefficient(d, j, tail, 4) for j in (0, 1)]
+            ops = [dense_coefficient(d, j, tail, 4) for j in (0, 1)]
             ops += [op.conj().T for op in ops]
         else:
             ops = [dense_coefficient(d, j, tail) for j in (0, 1)]
@@ -321,7 +318,7 @@ def test_uniform_fails_on_a_difference_no_visited_word_shows():
                         np.vstack([zero_row, [[1.0, 0.0], [1.0, 0.0]]]))
     v = StructuredIsometricPencil(1, 2, 0, core)
     t = LinearPencil([[1.0]], [[1.0]])
-    a, b = word_letters(v, 1, 2), Letters.plain((t.a0, t.a1))
+    a, b = dilation_letters(v, 1, 2), Letters.plain((t.a0, t.a1))
     truth = differences(a, b, 2)
     assert truth["10"] == pytest.approx(1e-8)
     visited = closure(*difference(a, b), 2)
@@ -341,12 +338,12 @@ def test_difference_keeps_the_coordinates_words_connect(corpus, all_chains):
     t, chain = corpus[2], all_chains[2]
     n = t.shape[0]
     plain = Letters.plain((t.a0, t.a1))
-    for letters in (word_letters(chain.v, n, 5), word_letters_unitary(chain.u, n, 5)):
+    for letters in (dilation_letters(d, n, 5) for d in (chain.v, chain.u)):
         pair, _ = difference(letters, plain)
         assert len(pair.start) == 2 * n < len(letters.start)
     vt = builtin_example(BuiltinExample.NON_UNIFORM_V)
     zero = Letters.plain((ZERO.a0, ZERO.a1))
-    for letters in (word_letters(vt, 1, 5), word_letters_unitary(build_unitary(vt), 1, 5)):
+    for letters in (dilation_letters(d, 1, 5) for d in (vt, build_unitary(vt))):
         pair, out = difference(letters, zero)
         assert len(pair.start) == 4
         visited = closure(pair, out, 5)

@@ -177,7 +177,7 @@ def cases():
     for label, v in (("padded-shift", _padded_shift()), ("non-uniform-v", vt)):
         yield f"minimality-{label}", lambda v=v: [
             pd.check_minimality(v, ZERO),
-            pd.check_minimality_unitary(pd.build_unitary(v), ZERO)]
+            pd.check_minimality(pd.build_unitary(v), ZERO)]
     for label, t in edge_pencils():
         for grid_size in (8, 64, 256):
             yield f"edge-{label}-classify-g{grid_size}", \
